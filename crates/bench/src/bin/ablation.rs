@@ -15,6 +15,7 @@ use spade_bench::{
     analyzed_lattices, build_spec, experiment_config, ms, regen_graph, timed, HarnessArgs,
 };
 use spade_core::evaluate::evaluate_cfs;
+use spade_core::Exec;
 use spade_cube::{mvd_cube, mvd_cube_with_earlystop, EarlyStopConfig, MvdCubeOptions};
 use spade_datagen::{synthetic, RealisticConfig, SyntheticConfig};
 use spade_storage::AggFn;
@@ -58,10 +59,14 @@ fn main() {
     let mut graph =
         regen_graph("CEOs", &RealisticConfig { scale: args.scale, seed: args.seed });
     let prepared = analyzed_lattices(&mut graph, &config);
+    let exec = Exec::new(config.threads);
     let (with_sharing, t_sharing) = timed(|| {
         prepared
             .iter()
-            .map(|(a, l)| evaluate_cfs(a, l, &config).evaluated_aggregates)
+            .map(|(a, l)| {
+                let evaluation = evaluate_cfs(a, l, &config, &exec);
+                evaluation.expect("unlimited budget cannot cancel").evaluated_aggregates
+            })
             .sum::<usize>()
     });
     let (without_sharing, t_independent) = timed(|| {

@@ -32,7 +32,7 @@ use spade_bitmap::Bitmap;
 use spade_core::json::JsonWriter;
 use spade_cube::engine_baseline::run_engine_baseline;
 use spade_cube::mvdcube::{mvd_cube_pruned, prepare, MvdCubeOptions};
-use spade_cube::{CubeResult, CubeSpec, MeasureSpec};
+use spade_cube::{CubeResult, CubeSpec, Exec, MeasureSpec};
 use spade_datagen::corpus::{SyntheticCase, SYNTHETIC_CASES};
 use spade_datagen::synthetic::generate_columns;
 use spade_datagen::ColumnSet;
@@ -103,13 +103,19 @@ fn run_case(
 
     // Data translation is identical for both engines and not part of the
     // Aggregate Evaluation step being measured: prepare once, untimed.
-    let (lattice, translation) = prepare(&spec, &options, None);
+    let serial = Exec::new(1);
+    let (lattice, translation) =
+        prepare(&spec, &options, None, &serial).expect("unlimited budget cannot cancel");
     let all_alive: HashMap<u32, Vec<bool>> =
         lattice.nodes().iter().map(|&m| (m, vec![true; spec.mdas().len()])).collect();
+    let evaluate = |exec: &Exec| {
+        mvd_cube_pruned(&spec, &options, &lattice, &translation, &all_alive, exec)
+            .expect("unlimited budget cannot cancel")
+    };
 
     // Warm-up + agreement check (not timed).
     let reference = run_engine_baseline(&spec, &lattice, &translation, None);
-    let optimized = mvd_cube_pruned(&spec, &options, &lattice, &translation, &all_alive);
+    let optimized = evaluate(&serial);
     check_agreement(&optimized, &reference, case.name);
     let total_groups = optimized.total_groups();
 
@@ -122,7 +128,7 @@ fn run_case(
         std::hint::black_box(r);
 
         let t = Instant::now();
-        let r = mvd_cube_pruned(&spec, &options, &lattice, &translation, &all_alive);
+        let r = evaluate(&serial);
         engine_secs = engine_secs.min(t.elapsed().as_secs_f64());
         std::hint::black_box(r);
     }
@@ -137,19 +143,19 @@ fn run_case(
     let mut sweep_secs: Vec<(usize, f64)> = Vec::new();
     for &threads in sweep {
         if threads == 1 {
-            // The headline `options` run above IS the 1-thread
+            // The headline `serial` run above IS the 1-thread
             // configuration — reuse its timing instead of re-measuring.
             sweep_secs.push((1, engine_secs));
             continue;
         }
-        let opts = MvdCubeOptions { threads, ..options };
-        let r = mvd_cube_pruned(&spec, &opts, &lattice, &translation, &all_alive);
+        let exec = Exec::new(threads);
+        let r = evaluate(&exec);
         check_agreement(&r, &optimized, &format!("{} @ {threads} threads", case.name));
         std::hint::black_box(r);
         let mut secs = f64::INFINITY;
         for _ in 0..repeats {
             let t = Instant::now();
-            let r = mvd_cube_pruned(&spec, &opts, &lattice, &translation, &all_alive);
+            let r = evaluate(&exec);
             secs = secs.min(t.elapsed().as_secs_f64());
             std::hint::black_box(r);
         }

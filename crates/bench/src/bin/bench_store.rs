@@ -26,7 +26,7 @@
 //! Usage: `cargo run --release -p spade-bench --bin bench_store
 //! [--scale <facts>] [--seed <n>] [--threads <n>] [--out <path>]`
 
-use spade_bench::{geo_mean, HarnessArgs};
+use spade_bench::{geo_mean, offline_stats, HarnessArgs};
 use spade_core::json::JsonWriter;
 use spade_core::{offline, OfflineState};
 use spade_datagen::corpus::{NtCase, NT_CASES};
@@ -84,7 +84,7 @@ fn run_case(
     // snapshot captures.
     let mut graph = ingest(&nt, threads).expect("corpus parses");
     saturate_with_threads(&mut graph, threads);
-    let stats = offline::analyze(&graph);
+    let stats = offline_stats(&graph);
     let records = offline::to_records(&stats);
     let path = dir.join(format!("{}.spade", case.name));
     write_snapshot(&path, &graph, &records).expect("snapshot writes");
@@ -110,7 +110,7 @@ fn run_case(
         let t = Instant::now();
         let mut g = ingest(&nt, threads).unwrap();
         saturate_with_threads(&mut g, threads);
-        let s = offline::analyze(&g);
+        let s = offline_stats(&g);
         offline_secs = offline_secs.min(t.elapsed().as_secs_f64());
         std::hint::black_box((&g, &s));
 

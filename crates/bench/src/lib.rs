@@ -1,5 +1,5 @@
 //! Shared harness for the experiment binaries (one binary per table/figure
-//! of the paper's Section 6) and the Criterion micro-benchmarks.
+//! of the paper's Section 6) and the benchmark binaries.
 //!
 //! Every binary accepts a `--scale <n>` argument (default [`DEFAULT_SCALE`])
 //! controlling the size of the simulated graphs; the paper's absolute sizes
@@ -8,7 +8,8 @@
 //! targets (see `EXPERIMENTS.md`).
 
 use spade_core::{
-    analysis::analyze_cfs, cfs, enumeration, offline, CfsAnalysis, LatticeSpec, SpadeConfig,
+    analysis::analyze_cfs, cfs, enumeration, offline, Budget, Cancelled, CfsAnalysis, Exec,
+    LatticeSpec, OfflineStats, SpadeConfig,
 };
 use spade_cube::{CubeResult, CubeSpec, MeasureSpec};
 use spade_rdf::Graph;
@@ -136,21 +137,31 @@ pub fn analyzed_lattices(
     config: &SpadeConfig,
 ) -> Vec<(CfsAnalysis, Vec<LatticeSpec>)> {
     spade_rdf::saturate(graph);
-    let stats = offline::analyze(graph);
-    let (derived, _) = offline::enumerate_derivations(graph, &stats, config);
-    let cfs_list = cfs::select(
-        graph,
-        &[cfs::CfsStrategy::TypeBased, cfs::CfsStrategy::SummaryBased],
-        config,
-    );
-    cfs_list
-        .iter()
-        .map(|c| {
-            let analysis = analyze_cfs(graph, c, &derived, config);
-            let lattices = enumeration::enumerate(&analysis, config);
-            (analysis, lattices)
-        })
-        .collect()
+    let graph: &Graph = graph;
+    let exec = Exec::new(config.threads);
+    let run = || -> Result<_, Cancelled> {
+        let stats = offline_stats(graph);
+        let (derived, _) =
+            offline::enumerate_derivations(graph, &stats, config, &Exec::new(1))?;
+        let strategies = [cfs::CfsStrategy::TypeBased, cfs::CfsStrategy::SummaryBased];
+        let cfs_list = cfs::select(graph, &strategies, config, &exec)?;
+        cfs_list
+            .iter()
+            .map(|c| {
+                let analysis = analyze_cfs(graph, c, &derived, config);
+                let lattices = enumeration::enumerate(&analysis, config, &exec)?;
+                Ok((analysis, lattices))
+            })
+            .collect()
+    };
+    run().expect("unlimited budget cannot cancel")
+}
+
+/// Serial offline attribute analysis of a saturated graph, as every
+/// experiment runs it (outside its timed region).
+pub fn offline_stats(graph: &Graph) -> OfflineStats {
+    offline::analyze_budgeted(graph, 1, &Budget::unlimited())
+        .expect("unlimited budget cannot cancel")
 }
 
 /// Builds the cube spec of one lattice.

@@ -165,6 +165,7 @@ mod tests {
     use crate::cfs::{select, CfsStrategy};
     use crate::offline;
     use spade_datagen::ceos_figure1;
+    use spade_parallel::{Budget, Exec};
 
     fn analyzed_ceos() -> CfsAnalysis {
         let g = ceos_figure1();
@@ -174,9 +175,11 @@ mod tests {
             max_distinct_ratio: 5.0, // tiny CFS: allow distinct ≈ |CFS|
             ..Default::default()
         };
-        let stats = offline::analyze(&g);
-        let (derived, _) = offline::enumerate_derivations(&g, &stats, &config);
-        let cfs_list = select(&g, &[CfsStrategy::TypeBased], &config);
+        let stats = offline::analyze_budgeted(&g, 1, &Budget::unlimited()).unwrap();
+        let (derived, _) =
+            offline::enumerate_derivations(&g, &stats, &config, &Exec::new(1)).unwrap();
+        let cfs_list =
+            select(&g, &[CfsStrategy::TypeBased], &config, &Exec::new(config.threads)).unwrap();
         let ceo_cfs = cfs_list.iter().find(|c| c.name == "type:CEO").unwrap();
         analyze_cfs(&g, ceo_cfs, &derived, &config)
     }
@@ -233,9 +236,11 @@ mod tests {
             max_distinct_ratio: 0.5, // strict: ≤ 1 distinct value for |CFS|=2
             ..Default::default()
         };
-        let stats = offline::analyze(&g);
-        let (derived, _) = offline::enumerate_derivations(&g, &stats, &config);
-        let cfs_list = select(&g, &[CfsStrategy::TypeBased], &config);
+        let stats = offline::analyze_budgeted(&g, 1, &Budget::unlimited()).unwrap();
+        let (derived, _) =
+            offline::enumerate_derivations(&g, &stats, &config, &Exec::new(1)).unwrap();
+        let cfs_list =
+            select(&g, &[CfsStrategy::TypeBased], &config, &Exec::new(config.threads)).unwrap();
         let ceo_cfs = cfs_list.iter().find(|c| c.name == "type:CEO").unwrap();
         let a = analyze_cfs(&g, ceo_cfs, &derived, &config);
         // `name` has 2 distinct values over 2 facts → ratio 1.0 > 0.5.
@@ -251,9 +256,11 @@ mod tests {
             dimension_stop_list: vec!["nationality".into()],
             ..Default::default()
         };
-        let stats = offline::analyze(&g);
-        let (derived, _) = offline::enumerate_derivations(&g, &stats, &config);
-        let cfs_list = select(&g, &[CfsStrategy::TypeBased], &config);
+        let stats = offline::analyze_budgeted(&g, 1, &Budget::unlimited()).unwrap();
+        let (derived, _) =
+            offline::enumerate_derivations(&g, &stats, &config, &Exec::new(1)).unwrap();
+        let cfs_list =
+            select(&g, &[CfsStrategy::TypeBased], &config, &Exec::new(config.threads)).unwrap();
         let ceo_cfs = cfs_list.iter().find(|c| c.name == "type:CEO").unwrap();
         let a = analyze_cfs(&g, ceo_cfs, &derived, &config);
         assert!(!attr(&a, "nationality").dimension_ok);

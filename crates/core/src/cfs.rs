@@ -7,10 +7,9 @@
 //! identified as equivalent by the RDFQuotient summary."
 
 use crate::config::SpadeConfig;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::{Cancelled, Exec};
 use spade_rdf::{Graph, TermId};
 use spade_summary::weak_summary;
-use spade_telemetry::SpanCtx;
 use std::collections::HashSet;
 
 /// Which selection strategies to run.
@@ -49,38 +48,26 @@ impl CandidateFactSet {
 /// filtered by `min_cfs_size` and capped at `max_cfs`.
 ///
 /// Member materialization and normalization (the per-candidate index scans
-/// and sort+dedup) fan out over `config.threads` per strategy, merged in
+/// and sort+dedup) fan out over `exec.threads` per strategy, merged in
 /// candidate order; the dedup-and-rank tail stays serial, so the selection
-/// is bit-identical at every thread count.
+/// is bit-identical at every thread count. The budget is polled per
+/// strategy and per candidate, so an expired request unwinds with
+/// [`Cancelled`] within one candidate's materialization. Records one child
+/// span per strategy (strategies run serially, so auto ordering is
+/// deterministic) with the candidate count as an attr.
 pub fn select(
     graph: &Graph,
     strategies: &[CfsStrategy],
     config: &SpadeConfig,
-) -> Vec<CandidateFactSet> {
-    select_budgeted(graph, strategies, config, &Budget::unlimited(), &SpanCtx::disabled())
-        .expect("unlimited budget cannot cancel")
-}
-
-/// [`select`] under a request [`Budget`]: the budget is polled per
-/// strategy and per candidate, so an expired request unwinds with
-/// [`Cancelled`] within one candidate's materialization. With
-/// [`Budget::unlimited`] this is exactly [`select`]. `ctx` records one
-/// child span per strategy (strategies run serially, so auto ordering is
-/// deterministic) with the candidate count as an attr.
-pub fn select_budgeted(
-    graph: &Graph,
-    strategies: &[CfsStrategy],
-    config: &SpadeConfig,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    exec: &Exec,
 ) -> Result<Vec<CandidateFactSet>, Cancelled> {
-    spade_parallel::fault::fire_with_budget("cfs", Some(budget));
+    spade_parallel::fault::fire_with_budget("cfs", exec.budget);
     let mut out: Vec<CandidateFactSet> = Vec::new();
     let mut seen_member_sets: HashSet<Vec<TermId>> = HashSet::new();
 
     for strategy in strategies {
-        budget.check()?;
-        let span = ctx.span(match strategy {
+        exec.check()?;
+        let span = exec.span.span(match strategy {
             CfsStrategy::TypeBased => "type_based",
             CfsStrategy::PropertyBased(_) => "property_based",
             CfsStrategy::SummaryBased => "summary_based",
@@ -88,8 +75,8 @@ pub fn select_budgeted(
         let candidates: Vec<(String, Vec<TermId>)> = match strategy {
             CfsStrategy::TypeBased => {
                 let classes: Vec<TermId> = graph.classes().collect();
-                spade_parallel::try_map(classes, config.threads, |class| {
-                    budget.check()?;
+                spade_parallel::try_map(classes, exec.threads, |class| {
+                    exec.check()?;
                     Ok((
                         format!("type:{}", graph.dict.display(class)),
                         normalized(graph.nodes_of_type(class)),
@@ -110,8 +97,8 @@ pub fn select_budgeted(
             }
             CfsStrategy::SummaryBased => {
                 let summary = weak_summary(graph);
-                spade_parallel::try_map(summary.classes, config.threads, |class| {
-                    budget.check()?;
+                spade_parallel::try_map(summary.classes, exec.threads, |class| {
+                    exec.check()?;
                     Ok((format!("summary:{}", class.id), normalized(class.members)))
                 })?
             }
@@ -165,7 +152,8 @@ mod tests {
     #[test]
     fn type_based_finds_classes() {
         let g = ceos_figure1();
-        let cfs = select(&g, &[CfsStrategy::TypeBased], &small_config());
+        let cfs =
+            select(&g, &[CfsStrategy::TypeBased], &small_config(), &Exec::new(0)).unwrap();
         let names: Vec<&str> = cfs.iter().map(|c| c.name.as_str()).collect();
         assert!(names.contains(&"type:CEO"));
         assert!(names.contains(&"type:Company"));
@@ -181,7 +169,9 @@ mod tests {
             &g,
             &[CfsStrategy::PropertyBased(vec!["netWorth".into(), "nationality".into()])],
             &small_config(),
-        );
+            &Exec::new(0),
+        )
+        .unwrap();
         assert_eq!(cfs.len(), 1);
         assert_eq!(cfs[0].len(), 2); // both CEOs
         assert!(cfs[0].name.starts_with("props:"));
@@ -194,14 +184,17 @@ mod tests {
             &g,
             &[CfsStrategy::PropertyBased(vec!["noSuchProperty".into()])],
             &small_config(),
-        );
+            &Exec::new(0),
+        )
+        .unwrap();
         assert!(cfs.is_empty());
     }
 
     #[test]
     fn summary_based_groups_structurally() {
         let g = ceos_figure1();
-        let cfs = select(&g, &[CfsStrategy::SummaryBased], &small_config());
+        let cfs =
+            select(&g, &[CfsStrategy::SummaryBased], &small_config(), &Exec::new(0)).unwrap();
         assert!(!cfs.is_empty());
         for c in &cfs {
             assert!(c.name.starts_with("summary:"));
@@ -212,8 +205,13 @@ mod tests {
     #[test]
     fn duplicates_across_strategies_removed() {
         let g = ceos_figure1();
-        let both =
-            select(&g, &[CfsStrategy::TypeBased, CfsStrategy::SummaryBased], &small_config());
+        let both = select(
+            &g,
+            &[CfsStrategy::TypeBased, CfsStrategy::SummaryBased],
+            &small_config(),
+            &Exec::new(0),
+        )
+        .unwrap();
         // No two CFSs may have identical member sets.
         let mut sets: Vec<&[TermId]> = both.iter().map(|c| c.members.as_slice()).collect();
         sets.sort();
@@ -226,7 +224,7 @@ mod tests {
     fn min_size_and_cap_apply() {
         let g = ceos_figure1();
         let cfg = SpadeConfig { min_cfs_size: 3, max_cfs: 1, ..Default::default() };
-        let cfs = select(&g, &[CfsStrategy::TypeBased], &cfg);
+        let cfs = select(&g, &[CfsStrategy::TypeBased], &cfg, &Exec::new(cfg.threads)).unwrap();
         assert!(cfs.len() <= 1);
         for c in &cfs {
             assert!(c.len() >= 3);
@@ -236,7 +234,8 @@ mod tests {
     #[test]
     fn sorted_largest_first() {
         let g = ceos_figure1();
-        let cfs = select(&g, &[CfsStrategy::TypeBased], &small_config());
+        let cfs =
+            select(&g, &[CfsStrategy::TypeBased], &small_config(), &Exec::new(0)).unwrap();
         for w in cfs.windows(2) {
             assert!(w[0].len() >= w[1].len());
         }

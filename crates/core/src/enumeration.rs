@@ -12,11 +12,10 @@
 
 use crate::analysis::CfsAnalysis;
 use crate::config::SpadeConfig;
-use crate::mfs::{maximal_frequent_sets_budgeted, Item};
+use crate::mfs::{maximal_frequent_sets, Item};
 use spade_bitmap::Bitmap;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::{Cancelled, Exec};
 use spade_storage::FactId;
-use spade_telemetry::SpanCtx;
 
 /// One lattice to evaluate: dimension and measure attribute indexes into
 /// the [`CfsAnalysis::attributes`] vector.
@@ -58,32 +57,24 @@ fn compatible(
 ///
 /// The per-attribute tidset construction (a full fact scan per dimension
 /// candidate) and the per-root measure assignment are independent, so both
-/// fan out over `config.threads` with input-order merges — candidate
-/// generation is bit-identical at every thread count.
-pub fn enumerate(analysis: &CfsAnalysis, config: &SpadeConfig) -> Vec<LatticeSpec> {
-    enumerate_budgeted(analysis, config, &Budget::unlimited(), &SpanCtx::disabled())
-        .expect("unlimited budget cannot cancel")
-}
-
-/// [`enumerate`] under a request [`Budget`]: the budget is polled per
-/// tidset scan and per lattice root, so an expired request unwinds with
-/// [`Cancelled`] within one attribute's fact scan. With
-/// [`Budget::unlimited`] this is exactly [`enumerate`]. `ctx` records one
-/// `mfs` span over the maximal-frequent-set mining with dimension-item and
+/// fan out over `exec.threads` with input-order merges — candidate
+/// generation is bit-identical at every thread count. The budget is polled
+/// per tidset scan and per lattice root, so an expired request unwinds
+/// with [`Cancelled`] within one attribute's fact scan. Records one `mfs`
+/// span over the maximal-frequent-set mining with dimension-item and
 /// lattice-root counts as attrs.
-pub fn enumerate_budgeted(
+pub fn enumerate(
     analysis: &CfsAnalysis,
     config: &SpadeConfig,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    exec: &Exec,
 ) -> Result<Vec<LatticeSpec>, Cancelled> {
     let dim_attrs = analysis.dimension_attrs();
     if dim_attrs.is_empty() {
         return Ok(Vec::new());
     }
     // Tidsets over facts for the frequent-set mining.
-    let items: Vec<Item> = spade_parallel::try_map(dim_attrs, config.threads, |ai| {
-        budget.check()?;
+    let items: Vec<Item> = spade_parallel::try_map(dim_attrs, exec.threads, |ai| {
+        exec.check()?;
         let col = analysis.attributes[ai].categorical.as_ref().expect("dims have columns");
         let tidset = Bitmap::from_iter(
             (0..analysis.n_facts() as u32).filter(|&f| !col.codes_of(FactId(f)).is_empty()),
@@ -91,22 +82,21 @@ pub fn enumerate_budgeted(
         Ok(Item { attr: ai, tidset })
     })?;
     let min_count = ((config.min_support * analysis.n_facts() as f64).ceil() as u64).max(1);
-    budget.check()?;
-    let mfs_span = ctx.span("mfs");
+    exec.check()?;
+    let mfs_span = exec.span.span("mfs");
     mfs_span.attr("items", items.len() as u64);
-    let roots = maximal_frequent_sets_budgeted(
+    let roots = maximal_frequent_sets(
         &items,
         min_count,
         config.max_lattice_dims,
         |a, b| compatible(&analysis.attributes[a], &analysis.attributes[b]),
-        config.threads,
-        budget,
+        exec,
     )?;
     mfs_span.attr("roots", roots.len() as u64);
     drop(mfs_span);
 
-    spade_parallel::try_map(roots, config.threads, |dims| {
-        budget.check()?;
+    spade_parallel::try_map(roots, exec.threads, |dims| {
+        exec.check()?;
         let measures: Vec<usize> = analysis
             .measure_attrs()
             .into_iter()
@@ -132,13 +122,16 @@ mod tests {
     use crate::cfs::{select, CfsStrategy};
     use crate::offline;
     use spade_datagen::{realistic, RealisticConfig};
+    use spade_parallel::Budget;
 
     fn ceos_analysis() -> (CfsAnalysis, SpadeConfig) {
         let g = realistic::ceos(&RealisticConfig { scale: 300, seed: 5 });
         let config = SpadeConfig { min_support: 0.3, ..Default::default() };
-        let stats = offline::analyze(&g);
-        let (derived, _) = offline::enumerate_derivations(&g, &stats, &config);
-        let cfs_list = select(&g, &[CfsStrategy::TypeBased], &config);
+        let stats = offline::analyze_budgeted(&g, 1, &Budget::unlimited()).unwrap();
+        let (derived, _) =
+            offline::enumerate_derivations(&g, &stats, &config, &Exec::new(1)).unwrap();
+        let cfs_list =
+            select(&g, &[CfsStrategy::TypeBased], &config, &Exec::new(config.threads)).unwrap();
         let ceo = cfs_list.iter().find(|c| c.name == "type:CEO").unwrap();
         (analyze_cfs(&g, ceo, &derived, &config), config)
     }
@@ -146,7 +139,7 @@ mod tests {
     #[test]
     fn lattices_found_with_bounded_dims() {
         let (analysis, config) = ceos_analysis();
-        let lattices = enumerate(&analysis, &config);
+        let lattices = enumerate(&analysis, &config, &Exec::new(config.threads)).unwrap();
         assert!(!lattices.is_empty(), "CEOs must yield lattices");
         for l in &lattices {
             assert!(!l.dims.is_empty());
@@ -164,7 +157,7 @@ mod tests {
     #[test]
     fn no_lattice_mixes_base_and_derivation() {
         let (analysis, config) = ceos_analysis();
-        let lattices = enumerate(&analysis, &config);
+        let lattices = enumerate(&analysis, &config, &Exec::new(config.threads)).unwrap();
         for l in &lattices {
             for &d in &l.dims {
                 for &d2 in &l.dims {
@@ -204,6 +197,6 @@ mod tests {
         for a in &mut analysis.attributes {
             a.dimension_ok = false;
         }
-        assert!(enumerate(&analysis, &config).is_empty());
+        assert!(enumerate(&analysis, &config, &Exec::new(config.threads)).unwrap().is_empty());
     }
 }

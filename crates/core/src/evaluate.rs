@@ -17,8 +17,8 @@
 //! [`spade_parallel`] pool, and a serial fold merges the outcomes in
 //! lattice order so counters and results are identical at any thread count.
 //! The thread budget splits across the two fan-out levels
-//! ([`spade_parallel::split_budget`]): outer workers run whole lattices,
-//! and each lattice's leftover inner budget drives the region-sharded
+//! ([`Exec::split`]): outer workers run whole lattices, and each
+//! lattice's leftover inner budget drives the region-sharded
 //! engine (and the early-stop pruning loop) *within* that lattice — the
 //! single-large-lattice shape then still uses every core.
 
@@ -26,10 +26,9 @@ use crate::analysis::CfsAnalysis;
 use crate::config::SpadeConfig;
 use crate::enumeration::LatticeSpec;
 use spade_cube::earlystop;
-use spade_cube::mvdcube::{mvd_cube_pruned_budgeted, prepare_budgeted, MvdCubeOptions};
+use spade_cube::mvdcube::{mvd_cube_pruned, prepare, MvdCubeOptions};
 use spade_cube::{CubeResult, CubeSpec, MeasureSpec};
-use spade_parallel::{Budget, Cancelled};
-use spade_telemetry::SpanCtx;
+use spade_parallel::{Cancelled, Exec};
 use std::collections::{HashMap, HashSet};
 
 /// The evaluation output for one CFS.
@@ -54,43 +53,27 @@ struct LatticeOutcome {
 }
 
 /// Evaluates all lattices of one CFS.
+///
+/// The budget is polled per lattice during planning and in every lattice's
+/// early-stop pruning and cube run, so an expired request unwinds with
+/// [`Cancelled`] within one region flush. Records one `lattice` span per
+/// lattice, ordered by lattice index ([`SpanCtx::span_at`]) so the
+/// span-tree shape is identical at every thread count; each lattice span
+/// nests the translate, early-stop, and cube-engine child spans opened by
+/// the stages it runs.
+///
+/// [`SpanCtx::span_at`]: spade_telemetry::SpanCtx::span_at
 pub fn evaluate_cfs(
     analysis: &CfsAnalysis,
     lattices: &[LatticeSpec],
     config: &SpadeConfig,
-) -> CfsEvaluation {
-    evaluate_cfs_budgeted(
-        analysis,
-        lattices,
-        config,
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
-}
-
-/// [`evaluate_cfs`] under a request [`Budget`]: the budget is polled per
-/// lattice during planning and threaded into every lattice's early-stop
-/// pruning and cube run, so an expired request unwinds with [`Cancelled`]
-/// within one region flush. With [`Budget::unlimited`] this is exactly
-/// [`evaluate_cfs`].
-///
-/// `ctx` records one `lattice` span per lattice, ordered by lattice index
-/// ([`SpanCtx::span_at`]) so the span-tree shape is identical at every
-/// thread count; each lattice span nests the translate, early-stop, and
-/// cube-engine child spans opened by the stages it runs.
-pub fn evaluate_cfs_budgeted(
-    analysis: &CfsAnalysis,
-    lattices: &[LatticeSpec],
-    config: &SpadeConfig,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    exec: &Exec,
 ) -> Result<CfsEvaluation, Cancelled> {
     let mut evaluation = CfsEvaluation::default();
     // Split the thread budget: `outer` lattices in flight, each with
-    // `inner` workers for its intra-lattice region shards.
-    let (outer, inner) = spade_parallel::split_budget(config.threads, lattices.len());
-    let options = MvdCubeOptions { threads: inner, ..Default::default() };
+    // `inner.threads` workers for its intra-lattice region shards.
+    let (outer, inner) = exec.split(lattices.len());
+    let options = MvdCubeOptions::default();
 
     // —— serial planning: cross-lattice sharing ——
     // `(sorted dim attribute ids, MDA label)` pairs already evaluated in an
@@ -100,7 +83,7 @@ pub fn evaluate_cfs_budgeted(
     let mut work: Vec<(CubeSpec<'_>, HashMap<u32, Vec<bool>>)> =
         Vec::with_capacity(lattices.len());
     for lattice_spec in lattices {
-        budget.check()?;
+        exec.check()?;
         let dims: Vec<_> = lattice_spec
             .dims
             .iter()
@@ -142,18 +125,15 @@ pub fn evaluate_cfs_budgeted(
     let indexed: Vec<(usize, (CubeSpec<'_>, HashMap<u32, Vec<bool>>))> =
         work.into_iter().enumerate().collect();
     let outcomes = spade_parallel::try_map(indexed, outer, |(idx, (spec, mut alive))| {
-        budget.check()?;
-        let lattice_span = ctx.span_at("lattice", idx as u64);
-        let lctx = lattice_span.ctx();
+        exec.check()?;
+        let lattice_span = exec.span.span_at("lattice", idx as u64);
+        let lexec = inner.under(&lattice_span);
         let sample_cap = config.early_stop.map(|es| es.sample_size);
-        let (lattice, translation) =
-            prepare_budgeted(&spec, &options, sample_cap, budget, &lctx)?;
+        let (lattice, translation) = prepare(&spec, &options, sample_cap, &lexec)?;
         let mut pruned_by_es = 0usize;
         if let Some(es_config) = &config.early_stop {
-            let samples = translation.samples.clone().expect("sampling enabled");
-            let outcome = earlystop::prune_budgeted(
-                &spec, &lattice, &samples, es_config, inner, budget, &lctx,
-            )?;
+            let samples = translation.samples.as_ref().expect("sampling enabled");
+            let outcome = earlystop::prune(&spec, &lattice, samples, es_config, &lexec)?;
             for (mask, flags) in &mut alive {
                 let es_flags = &outcome.alive[mask];
                 for (i, f) in flags.iter_mut().enumerate() {
@@ -167,15 +147,7 @@ pub fn evaluate_cfs_budgeted(
         let evaluated_aggregates =
             alive.values().map(|f| f.iter().filter(|&&x| x).count()).sum::<usize>();
         lattice_span.attr("aggregates", evaluated_aggregates as u64);
-        let result = mvd_cube_pruned_budgeted(
-            &spec,
-            &options,
-            &lattice,
-            &translation,
-            &alive,
-            budget,
-            &lctx,
-        )?;
+        let result = mvd_cube_pruned(&spec, &options, &lattice, &translation, &alive, &lexec)?;
         Ok(LatticeOutcome { result, evaluated_aggregates, pruned_by_es })
     })?;
 
@@ -204,16 +176,19 @@ mod tests {
     use crate::enumeration::enumerate;
     use crate::offline;
     use spade_datagen::{realistic, RealisticConfig};
+    use spade_parallel::Budget;
 
     fn setup() -> (CfsAnalysis, Vec<LatticeSpec>, SpadeConfig) {
         let g = realistic::ceos(&RealisticConfig { scale: 250, seed: 9 });
         let config = SpadeConfig { min_support: 0.3, ..Default::default() };
-        let stats = offline::analyze(&g);
-        let (derived, _) = offline::enumerate_derivations(&g, &stats, &config);
-        let cfs_list = select(&g, &[CfsStrategy::TypeBased], &config);
+        let stats = offline::analyze_budgeted(&g, 1, &Budget::unlimited()).unwrap();
+        let (derived, _) =
+            offline::enumerate_derivations(&g, &stats, &config, &Exec::new(1)).unwrap();
+        let cfs_list =
+            select(&g, &[CfsStrategy::TypeBased], &config, &Exec::new(config.threads)).unwrap();
         let ceo = cfs_list.iter().find(|c| c.name == "type:CEO").unwrap();
         let analysis = analyze_cfs(&g, ceo, &derived, &config);
-        let lattices = enumerate(&analysis, &config);
+        let lattices = enumerate(&analysis, &config, &Exec::new(config.threads)).unwrap();
         (analysis, lattices, config)
     }
 
@@ -221,7 +196,8 @@ mod tests {
     fn evaluates_every_lattice() {
         let (analysis, lattices, config) = setup();
         assert!(!lattices.is_empty());
-        let eval = evaluate_cfs(&analysis, &lattices, &config);
+        let eval =
+            evaluate_cfs(&analysis, &lattices, &config, &Exec::new(config.threads)).unwrap();
         assert_eq!(eval.results.len(), lattices.len());
         assert!(eval.evaluated_aggregates > 0);
         assert_eq!(eval.evaluated_aggregates, eval.enumerated_aggregates);
@@ -240,7 +216,8 @@ mod tests {
             // nothing to assert across lattices.
             return;
         }
-        let eval = evaluate_cfs(&analysis, &lattices, &config);
+        let eval =
+            evaluate_cfs(&analysis, &lattices, &config, &Exec::new(config.threads)).unwrap();
         let independent: usize =
             lattices.iter().map(|l| l.mda_count(config.agg_fns.len())).sum();
         assert!(
@@ -253,8 +230,16 @@ mod tests {
     fn early_stop_reduces_computed_aggregates() {
         let (analysis, lattices, config) = setup();
         let es_config = SpadeConfig { k: 3, ..config }.with_early_stop();
-        let plain = evaluate_cfs(&analysis, &lattices, &es_config.clone_without_es());
-        let pruned = evaluate_cfs(&analysis, &lattices, &es_config);
+        let plain = evaluate_cfs(
+            &analysis,
+            &lattices,
+            &es_config.clone_without_es(),
+            &Exec::new(es_config.clone_without_es().threads),
+        )
+        .unwrap();
+        let pruned =
+            evaluate_cfs(&analysis, &lattices, &es_config, &Exec::new(es_config.threads))
+                .unwrap();
         assert!(pruned.pruned_by_es > 0, "expected pruning on a 250-fact CFS");
         assert!(pruned.evaluated_aggregates < plain.evaluated_aggregates);
         assert_eq!(

@@ -46,10 +46,11 @@ pub use pipeline::{
     StepTimings, TopAggregate,
 };
 
-/// Request budgets (deadline + cancellation) threaded through
-/// [`Spade::run_on_budgeted`] — re-exported so servers need not depend on
-/// `spade-parallel` directly.
-pub use spade_parallel::{Budget, CancelReason, Cancelled};
+/// Request budgets (deadline + cancellation) taken by
+/// [`Spade::run_on_traced`], and the per-stage execution context ([`Exec`]:
+/// threads, budget, span) every stage entry point takes — re-exported so
+/// servers need not depend on `spade-parallel` directly.
+pub use spade_parallel::{Budget, CancelReason, Cancelled, Exec};
 
 /// Per-request tracing (span trees recorded by
 /// [`Spade::run_on_traced`](pipeline::Spade::run_on_traced)) — re-exported

@@ -11,7 +11,7 @@
 //! spirit of GenMax [Gouda & Zaki, ICDM 2001].
 
 use spade_bitmap::Bitmap;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::{Cancelled, Exec};
 
 /// One item: an attribute index plus the set of facts carrying it.
 #[derive(Clone, Debug)]
@@ -32,44 +32,23 @@ pub struct Item {
 ///
 /// Returns sets of attribute ids, each sorted ascending; the result is
 /// subset-free.
+///
+/// The search tree's top-level branches (one per frequent item, in the
+/// dense-first order) are mined independently over `exec.threads`
+/// workers; each branch records its locally maximal sets, and a serial
+/// merge applies the same subsumption rule across branches in branch
+/// order. Subsumption only suppresses *storage* — it never alters which
+/// subtrees are explored — so the merged subset-free family is identical
+/// to the serial mining at any thread count. Cancellation is polled once
+/// per top-level branch.
 pub fn maximal_frequent_sets(
     items: &[Item],
     min_count: u64,
     max_size: usize,
     compatible: impl Fn(usize, usize) -> bool + Sync,
-) -> Vec<Vec<usize>> {
-    match maximal_frequent_sets_budgeted(
-        items,
-        min_count,
-        max_size,
-        compatible,
-        1,
-        &Budget::unlimited(),
-    ) {
-        Ok(sets) => sets,
-        Err(_) => unreachable!("unlimited budget cannot cancel"),
-    }
-}
-
-/// [`maximal_frequent_sets`] fanned out over `threads` workers under a
-/// request [`Budget`].
-///
-/// The search tree's top-level branches (one per frequent item, in the
-/// dense-first order) are mined independently; each branch records its
-/// locally maximal sets, and a serial merge applies the same subsumption
-/// rule across branches in branch order. Subsumption only suppresses
-/// *storage* — it never alters which subtrees are explored — so the merged
-/// subset-free family is identical to the serial mining at any thread
-/// count. Cancellation is polled once per top-level branch.
-pub fn maximal_frequent_sets_budgeted(
-    items: &[Item],
-    min_count: u64,
-    max_size: usize,
-    compatible: impl Fn(usize, usize) -> bool + Sync,
-    threads: usize,
-    budget: &Budget,
+    exec: &Exec,
 ) -> Result<Vec<Vec<usize>>, Cancelled> {
-    budget.check()?;
+    exec.check()?;
     // Frequent single items, by descending support (dense-first ordering
     // makes long sets appear early, improving subsumption pruning).
     let mut order: Vec<usize> =
@@ -156,30 +135,31 @@ pub fn maximal_frequent_sets_budgeted(
     let order = &order;
     let universe = &universe;
     let compatible = &compatible;
-    let branches: Vec<Vec<Vec<usize>>> = spade_parallel::try_map(positions, threads, |pos| {
-        budget.check()?;
-        let i = order[pos];
-        // Top level: `current` is empty, so compatibility is vacuous and
-        // the intersection with the all-items universe is the tidset.
-        if items[i].tidset.cardinality() < min_count {
-            return Ok(Vec::new());
-        }
-        let new_tids = universe.intersect(&items[i].tidset);
-        let mut current = vec![items[i].attr];
-        let mut maximal: Vec<Vec<usize>> = Vec::new();
-        extend(
-            items,
-            order,
-            pos + 1,
-            &new_tids,
-            &mut current,
-            &mut maximal,
-            min_count,
-            max_size,
-            compatible,
-        );
-        Ok(maximal)
-    })?;
+    let branches: Vec<Vec<Vec<usize>>> =
+        spade_parallel::try_map(positions, exec.threads, |pos| {
+            exec.check()?;
+            let i = order[pos];
+            // Top level: `current` is empty, so compatibility is vacuous and
+            // the intersection with the all-items universe is the tidset.
+            if items[i].tidset.cardinality() < min_count {
+                return Ok(Vec::new());
+            }
+            let new_tids = universe.intersect(&items[i].tidset);
+            let mut current = vec![items[i].attr];
+            let mut maximal: Vec<Vec<usize>> = Vec::new();
+            extend(
+                items,
+                order,
+                pos + 1,
+                &new_tids,
+                &mut current,
+                &mut maximal,
+                min_count,
+                max_size,
+                compatible,
+            );
+            Ok(maximal)
+        })?;
 
     // Serial cross-branch merge with the same subsumption rule; the result
     // is the maximal antichain of all candidates, independent of order.
@@ -205,7 +185,7 @@ mod tests {
     #[test]
     fn single_frequent_item_is_maximal() {
         let items = vec![item(0, &[0, 1, 2]), item(1, &[9])];
-        let sets = maximal_frequent_sets(&items, 2, 4, |_, _| true);
+        let sets = maximal_frequent_sets(&items, 2, 4, |_, _| true, &Exec::new(1)).unwrap();
         assert_eq!(sets, vec![vec![0]]);
     }
 
@@ -214,10 +194,10 @@ mod tests {
         // Attributes 0,1,2 co-occur on facts 0–7; attribute 3 only on 0–2.
         let all: Vec<u32> = (0..8).collect();
         let items = vec![item(0, &all), item(1, &all), item(2, &all), item(3, &[0, 1, 2])];
-        let sets = maximal_frequent_sets(&items, 4, 4, |_, _| true);
+        let sets = maximal_frequent_sets(&items, 4, 4, |_, _| true, &Exec::new(1)).unwrap();
         assert_eq!(sets, vec![vec![0, 1, 2]]);
         // Lowering the threshold pulls attribute 3 in.
-        let sets = maximal_frequent_sets(&items, 3, 4, |_, _| true);
+        let sets = maximal_frequent_sets(&items, 3, 4, |_, _| true, &Exec::new(1)).unwrap();
         assert_eq!(sets, vec![vec![0, 1, 2, 3]]);
     }
 
@@ -229,7 +209,7 @@ mod tests {
             item(2, &[10, 11, 12, 13]),
             item(3, &[10, 11, 12, 13]),
         ];
-        let sets = maximal_frequent_sets(&items, 3, 4, |_, _| true);
+        let sets = maximal_frequent_sets(&items, 3, 4, |_, _| true, &Exec::new(1)).unwrap();
         assert_eq!(sets, vec![vec![0, 1], vec![2, 3]]);
     }
 
@@ -237,7 +217,7 @@ mod tests {
     fn max_size_caps_the_roots() {
         let all: Vec<u32> = (0..10).collect();
         let items: Vec<Item> = (0..5).map(|a| item(a, &all)).collect();
-        let sets = maximal_frequent_sets(&items, 5, 3, |_, _| true);
+        let sets = maximal_frequent_sets(&items, 5, 3, |_, _| true, &Exec::new(1)).unwrap();
         for s in &sets {
             assert!(s.len() <= 3);
         }
@@ -254,8 +234,14 @@ mod tests {
         // nationality vs numOf(nationality)).
         let all: Vec<u32> = (0..10).collect();
         let items = vec![item(0, &all), item(1, &all), item(2, &all)];
-        let sets =
-            maximal_frequent_sets(&items, 5, 4, |a, b| !(a == 0 && b == 1 || a == 1 && b == 0));
+        let sets = maximal_frequent_sets(
+            &items,
+            5,
+            4,
+            |a, b| !(a == 0 && b == 1 || a == 1 && b == 0),
+            &Exec::new(1),
+        )
+        .unwrap();
         assert_eq!(sets, vec![vec![0, 2], vec![1, 2]]);
     }
 
@@ -267,7 +253,7 @@ mod tests {
             item(2, &(0..10).collect::<Vec<_>>()),
             item(3, &(5..25).collect::<Vec<_>>()),
         ];
-        let sets = maximal_frequent_sets(&items, 8, 4, |_, _| true);
+        let sets = maximal_frequent_sets(&items, 8, 4, |_, _| true, &Exec::new(1)).unwrap();
         for (i, a) in sets.iter().enumerate() {
             for (j, b) in sets.iter().enumerate() {
                 if i != j {
@@ -279,9 +265,13 @@ mod tests {
 
     #[test]
     fn empty_input_and_infrequent_items() {
-        assert!(maximal_frequent_sets(&[], 1, 4, |_, _| true).is_empty());
+        assert!(maximal_frequent_sets(&[], 1, 4, |_, _| true, &Exec::new(1))
+            .unwrap()
+            .is_empty());
         let items = vec![item(0, &[1]), item(1, &[2])];
-        assert!(maximal_frequent_sets(&items, 2, 4, |_, _| true).is_empty());
+        assert!(maximal_frequent_sets(&items, 2, 4, |_, _| true, &Exec::new(1))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -296,11 +286,10 @@ mod tests {
             })
             .collect();
         let compat = |a: usize, b: usize| !(a + b).is_multiple_of(7);
-        let serial = maximal_frequent_sets(&items, 12, 4, compat);
-        let budget = Budget::unlimited();
+        let serial = maximal_frequent_sets(&items, 12, 4, compat, &Exec::new(1)).unwrap();
         for threads in [2usize, 8] {
-            let par = maximal_frequent_sets_budgeted(&items, 12, 4, compat, threads, &budget)
-                .unwrap();
+            let par =
+                maximal_frequent_sets(&items, 12, 4, compat, &Exec::new(threads)).unwrap();
             assert_eq!(par, serial);
         }
     }
@@ -308,8 +297,9 @@ mod tests {
     #[test]
     fn cancelled_budget_stops_mining() {
         let items = vec![item(0, &[0, 1, 2]), item(1, &[0, 1, 2])];
-        let budget = Budget::unlimited();
+        let budget = spade_parallel::Budget::unlimited();
         budget.cancel();
-        assert!(maximal_frequent_sets_budgeted(&items, 1, 4, |_, _| true, 2, &budget).is_err());
+        let exec = Exec { budget: Some(&budget), ..Exec::new(2) };
+        assert!(maximal_frequent_sets(&items, 1, 4, |_, _| true, &exec).is_err());
     }
 }

@@ -10,7 +10,7 @@
 use crate::attr::{AttrKind, AttributeDef};
 use crate::config::SpadeConfig;
 use crate::text;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::{Budget, Cancelled, Exec};
 use spade_rdf::{vocab, Graph, Term, TermId, ValueKind};
 use std::collections::{HashMap, HashSet};
 
@@ -97,19 +97,11 @@ fn is_schema_property(graph: &Graph, p: TermId) -> bool {
     }
 }
 
-/// Gathers per-property statistics over the whole graph.
-pub fn analyze(graph: &Graph) -> OfflineStats {
-    match analyze_budgeted(graph, 1, &Budget::unlimited()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("unlimited budget cannot cancel"),
-    }
-}
-
-/// [`analyze`] fanned out over `threads` workers under a request
-/// [`Budget`]: each property's full-graph scan is an independent work
-/// item, merged in input order, so the statistics are bit-identical to the
-/// serial pass at any thread count. Cancellation is polled once per
-/// property.
+/// Gathers per-property statistics over the whole graph, fanned out over
+/// `threads` workers under a request [`Budget`]: each property's
+/// full-graph scan is an independent work item, merged in input order, so
+/// the statistics are bit-identical to the serial pass at any thread
+/// count. Cancellation is polled once per property.
 pub fn analyze_budgeted(
     graph: &Graph,
     threads: usize,
@@ -193,7 +185,7 @@ pub fn to_records(stats: &OfflineStats) -> Vec<spade_store::PropertyStatsRecord>
 
 /// Reconstitutes [`OfflineStats`] from snapshot records, restoring display
 /// names from `graph`'s dictionary. The inverse of [`to_records`]: a
-/// round trip reproduces the stats of a fresh [`analyze`] bit for bit.
+/// round trip reproduces the stats of a fresh [`analyze_budgeted`] bit for bit.
 pub fn from_records(
     graph: &Graph,
     records: &[spade_store::PropertyStatsRecord],
@@ -241,33 +233,21 @@ impl DerivationCounts {
 
 /// Enumerates the graph-wide derived properties guided by the offline
 /// statistics (Derived Property Enumeration).
+///
+/// The expensive part — the per-link-property scan over target nodes —
+/// fans out over `exec.threads` workers. The capped path assembly stays
+/// serial in statistics order, so the enumerated derivations are
+/// bit-identical to the serial pass at any thread count (a cancelled
+/// budget may skip scans the serial version would also have skipped via
+/// the cap, and may perform scans the serial version skips; neither
+/// affects a completed run's output).
 pub fn enumerate_derivations(
     graph: &Graph,
     stats: &OfflineStats,
     config: &SpadeConfig,
-) -> (Vec<AttributeDef>, DerivationCounts) {
-    match enumerate_derivations_budgeted(graph, stats, config, 1, &Budget::unlimited()) {
-        Ok(r) => r,
-        Err(_) => unreachable!("unlimited budget cannot cancel"),
-    }
-}
-
-/// [`enumerate_derivations`] under a request [`Budget`], with the
-/// expensive part — the per-link-property scan over target nodes — fanned
-/// out over `threads` workers. The capped path assembly stays serial in
-/// statistics order, so the enumerated derivations are bit-identical to
-/// the serial pass at any thread count (a cancelled budget may skip
-/// scans the serial version would also have skipped via the cap, and may
-/// perform scans the serial version skips; neither affects a completed
-/// run's output).
-pub fn enumerate_derivations_budgeted(
-    graph: &Graph,
-    stats: &OfflineStats,
-    config: &SpadeConfig,
-    threads: usize,
-    budget: &Budget,
+    exec: &Exec,
 ) -> Result<(Vec<AttributeDef>, DerivationCounts), Cancelled> {
-    budget.check()?;
+    exec.check()?;
     let mut out = Vec::new();
     let mut counts = DerivationCounts::default();
     if !config.enable_derivations {
@@ -287,7 +267,7 @@ pub fn enumerate_derivations_budgeted(
             counts.lang += 1;
         }
     }
-    budget.check()?;
+    exec.check()?;
     // (iv) paths p/q: p links to nodes carrying q. Each link property's
     // target-property histogram is an independent full scan — fan out, then
     // assemble serially in statistics order so the global cap picks the
@@ -295,8 +275,8 @@ pub fn enumerate_derivations_budgeted(
     let links: Vec<TermId> =
         stats.properties.iter().filter(|ps| ps.is_link()).map(|ps| ps.property).collect();
     let histograms: Vec<Vec<(TermId, usize)>> =
-        spade_parallel::try_map(links.clone(), threads, |p| {
-            budget.check()?;
+        spade_parallel::try_map(links.clone(), exec.threads, |p| {
+            exec.check()?;
             let mut target_props: HashMap<TermId, usize> = HashMap::new();
             for &(_, o) in graph.property_pairs(p) {
                 for &(q, _) in graph.outgoing(o) {
@@ -328,7 +308,7 @@ mod tests {
 
     fn stats_for_figure1() -> (Graph, OfflineStats) {
         let g = ceos_figure1();
-        let s = analyze(&g);
+        let s = analyze_budgeted(&g, 1, &Budget::unlimited()).unwrap();
         (g, s)
     }
 
@@ -370,7 +350,8 @@ mod tests {
     #[test]
     fn derivations_cover_all_four_kinds() {
         let (g, s) = stats_for_figure1();
-        let (defs, counts) = enumerate_derivations(&g, &s, &SpadeConfig::default());
+        let (defs, counts) =
+            enumerate_derivations(&g, &s, &SpadeConfig::default(), &Exec::new(1)).unwrap();
         assert!(counts.count >= 2, "nationality, company, area are multi-valued");
         assert!(counts.kw >= 1 && counts.lang >= 1, "description is texty");
         assert!(counts.path >= 3, "company/area, company/name, politicalConnection/role…");
@@ -384,7 +365,7 @@ mod tests {
     fn derivations_disabled_by_config() {
         let (g, s) = stats_for_figure1();
         let cfg = SpadeConfig::default().without_derivations();
-        let (defs, counts) = enumerate_derivations(&g, &s, &cfg);
+        let (defs, counts) = enumerate_derivations(&g, &s, &cfg, &Exec::new(1)).unwrap();
         assert!(defs.is_empty());
         assert_eq!(counts.total(), 0);
     }
@@ -417,7 +398,7 @@ mod tests {
     fn path_budget_respected() {
         let (g, s) = stats_for_figure1();
         let cfg = SpadeConfig { max_path_derivations: 2, ..Default::default() };
-        let (_, counts) = enumerate_derivations(&g, &s, &cfg);
+        let (_, counts) = enumerate_derivations(&g, &s, &cfg, &Exec::new(1)).unwrap();
         assert_eq!(counts.path, 2);
     }
 
@@ -425,7 +406,8 @@ mod tests {
     fn parallel_offline_is_thread_invariant() {
         let (g, serial_stats) = stats_for_figure1();
         let cfg = SpadeConfig::default();
-        let (serial_defs, serial_counts) = enumerate_derivations(&g, &serial_stats, &cfg);
+        let (serial_defs, serial_counts) =
+            enumerate_derivations(&g, &serial_stats, &cfg, &Exec::new(1)).unwrap();
         let budget = Budget::unlimited();
         for threads in [2usize, 8] {
             let stats = analyze_budgeted(&g, threads, &budget).unwrap();
@@ -437,7 +419,7 @@ mod tests {
                 assert_eq!(a.numeric_bounds, b.numeric_bounds);
             }
             let (defs, counts) =
-                enumerate_derivations_budgeted(&g, &stats, &cfg, threads, &budget).unwrap();
+                enumerate_derivations(&g, &stats, &cfg, &Exec::new(threads)).unwrap();
             assert_eq!(counts, serial_counts);
             let names: Vec<&str> = defs.iter().map(|d| d.name.as_str()).collect();
             let serial_names: Vec<&str> = serial_defs.iter().map(|d| d.name.as_str()).collect();
@@ -451,7 +433,7 @@ mod tests {
         let budget = Budget::unlimited();
         budget.cancel();
         assert!(analyze_budgeted(&g, 2, &budget).is_err());
-        assert!(enumerate_derivations_budgeted(&g, &s, &SpadeConfig::default(), 2, &budget)
-            .is_err());
+        let exec = Exec { budget: Some(&budget), ..Exec::new(2) };
+        assert!(enumerate_derivations(&g, &s, &SpadeConfig::default(), &exec).is_err());
     }
 }

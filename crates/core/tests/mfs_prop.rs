@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use spade_bitmap::Bitmap;
 use spade_core::mfs::{maximal_frequent_sets, Item};
+use spade_core::Exec;
 
 #[allow(clippy::needless_range_loop)]
 fn brute_force_maximal(
@@ -62,7 +63,7 @@ proptest! {
             .enumerate()
             .map(|(attr, tids)| Item { attr, tidset: Bitmap::from_sorted(tids) })
             .collect();
-        let got = maximal_frequent_sets(&items, min_count, max_size, |_, _| true);
+        let got = maximal_frequent_sets(&items, min_count, max_size, |_, _| true, &Exec::new(1)).unwrap();
         let expected = brute_force_maximal(&tidsets, min_count, max_size);
         prop_assert_eq!(got, expected);
     }

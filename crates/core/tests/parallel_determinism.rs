@@ -8,7 +8,7 @@ use spade_core::cfs::{select, CfsStrategy};
 use spade_core::enumeration::enumerate;
 use spade_core::evaluate::evaluate_cfs;
 use spade_core::offline;
-use spade_core::{Spade, SpadeConfig};
+use spade_core::{Budget, Exec, Spade, SpadeConfig};
 use spade_cube::CubeResult;
 use spade_datagen::{realistic, RealisticConfig};
 
@@ -46,14 +46,16 @@ fn assert_results_identical(a: &CubeResult, b: &CubeResult, context: &str) {
 fn run_evaluation(threads: usize) -> Vec<CubeResult> {
     let g = realistic::ceos(&RealisticConfig { scale: 250, seed: 9 });
     let config = SpadeConfig { min_support: 0.3, threads, ..Default::default() };
-    let stats = offline::analyze(&g);
-    let (derived, _) = offline::enumerate_derivations(&g, &stats, &config);
-    let cfs_list = select(&g, &[CfsStrategy::TypeBased], &config);
+    let stats = offline::analyze_budgeted(&g, 1, &Budget::unlimited()).unwrap();
+    let (derived, _) =
+        offline::enumerate_derivations(&g, &stats, &config, &Exec::new(1)).unwrap();
+    let cfs_list =
+        select(&g, &[CfsStrategy::TypeBased], &config, &Exec::new(config.threads)).unwrap();
     let ceo = cfs_list.iter().find(|c| c.name == "type:CEO").unwrap();
     let analysis = analyze_cfs(&g, ceo, &derived, &config);
-    let lattices = enumerate(&analysis, &config);
+    let lattices = enumerate(&analysis, &config, &Exec::new(config.threads)).unwrap();
     assert!(lattices.len() > 1, "need multiple lattices to exercise the fan-out");
-    let eval = evaluate_cfs(&analysis, &lattices, &config);
+    let eval = evaluate_cfs(&analysis, &lattices, &config, &Exec::new(config.threads)).unwrap();
     eval.results
 }
 
@@ -120,16 +122,18 @@ fn single_lattice_run(threads: usize, early_stop: bool) -> (Vec<CubeResult>, usi
     if early_stop {
         config = SpadeConfig { k: 2, ..config }.with_early_stop();
     }
-    let stats = offline::analyze(&g);
-    let (derived, _) = offline::enumerate_derivations(&g, &stats, &config);
-    let cfs_list = select(&g, &[CfsStrategy::TypeBased], &config);
+    let stats = offline::analyze_budgeted(&g, 1, &Budget::unlimited()).unwrap();
+    let (derived, _) =
+        offline::enumerate_derivations(&g, &stats, &config, &Exec::new(1)).unwrap();
+    let cfs_list =
+        select(&g, &[CfsStrategy::TypeBased], &config, &Exec::new(config.threads)).unwrap();
     let ceo = cfs_list.iter().find(|c| c.name == "type:CEO").unwrap();
     let analysis = analyze_cfs(&g, ceo, &derived, &config);
-    let lattices = enumerate(&analysis, &config);
+    let lattices = enumerate(&analysis, &config, &Exec::new(config.threads)).unwrap();
     // Restrict to ONE lattice so the per-CFS/per-lattice fan-out degenerates
     // and only the intra-lattice (region-shard) parallelism remains.
     let one = vec![lattices.into_iter().next().expect("CEOs yield a lattice")];
-    let eval = evaluate_cfs(&analysis, &one, &config);
+    let eval = evaluate_cfs(&analysis, &one, &config, &Exec::new(config.threads)).unwrap();
     (eval.results, eval.pruned_by_es)
 }
 

@@ -6,9 +6,14 @@
 //! differ between a serial and a parallel run. The top-level stages must
 //! also be exactly the `StepTimings` fields the report exposes — the trace
 //! and the timings are the same measurement.
+//!
+//! The set of distinct span paths (`evaluation/cfs/lattice/translate`, …)
+//! is pinned too: per-layer timings are folded from the trace by path, so
+//! a renamed or re-parented span would silently empty a layer.
 
 use spade_core::{Budget, OfflineState, RequestConfig, Spade, SpadeConfig, Trace};
 use spade_datagen::{realistic, RealisticConfig};
+use std::collections::BTreeSet;
 
 const ONLINE_STAGES: [&str; 6] = [
     "offline_analysis",
@@ -18,6 +23,54 @@ const ONLINE_STAGES: [&str; 6] = [
     "evaluation",
     "topk",
 ];
+
+/// Distinct span paths of a plain (no early-stop) traced run.
+const SPAN_PATHS: [&str; 14] = [
+    "attribute_analysis",
+    "cfs_selection",
+    "cfs_selection/summary_based",
+    "cfs_selection/type_based",
+    "enumeration",
+    "enumeration/cfs",
+    "enumeration/cfs/mfs",
+    "evaluation",
+    "evaluation/cfs",
+    "evaluation/cfs/lattice",
+    "evaluation/cfs/lattice/shard",
+    "evaluation/cfs/lattice/translate",
+    "offline_analysis",
+    "topk",
+];
+
+/// The early-stop run adds one path: each lattice's pruning span.
+const EARLY_STOP_PATH: &str = "evaluation/cfs/lattice/earlystop";
+
+/// The distinct `/`-joined span paths of a `Trace::shape` string
+/// (`a(b;c;);` has paths `a`, `a/b` and `a/c`).
+fn span_paths(shape: &str) -> BTreeSet<String> {
+    let mut paths = BTreeSet::new();
+    let mut stack: Vec<&str> = Vec::new();
+    let mut start = 0;
+    for (i, c) in shape.char_indices() {
+        match c {
+            '(' | ';' if start < i => {
+                stack.push(&shape[start..i]);
+                paths.insert(stack.join("/"));
+                if c == ';' {
+                    stack.pop();
+                }
+            }
+            ')' => {
+                stack.pop();
+            }
+            _ => {}
+        }
+        if matches!(c, '(' | ';' | ')') {
+            start = i + 1;
+        }
+    }
+    paths
+}
 
 fn fixture() -> (Spade, OfflineState, SpadeConfig) {
     let g = realistic::ceos(&RealisticConfig { scale: 200, seed: 2 });
@@ -71,6 +124,8 @@ fn trace_shape_is_identical_at_1_2_8_threads() {
     // Sanity: the tree actually descends into the evaluation fan-out.
     assert!(shapes[0].1.contains("lattice("), "shape: {}", shapes[0].1);
     assert!(shapes[0].1.contains("translate;"), "shape: {}", shapes[0].1);
+    let expected: BTreeSet<String> = SPAN_PATHS.iter().map(|p| p.to_string()).collect();
+    assert_eq!(span_paths(&shapes[0].1), expected, "shape: {}", shapes[0].1);
 }
 
 #[test]
@@ -88,6 +143,9 @@ fn trace_shape_with_early_stop_is_thread_invariant() {
     let serial = build(1);
     assert!(serial.contains("earlystop;"), "shape: {serial}");
     assert_eq!(serial, build(8));
+    let expected: BTreeSet<String> =
+        SPAN_PATHS.iter().chain([&EARLY_STOP_PATH]).map(|p| p.to_string()).collect();
+    assert_eq!(span_paths(&serial), expected, "shape: {serial}");
 }
 
 #[test]

@@ -9,9 +9,9 @@
 //! interestingness score by applying h, and returns the k best aggregates."
 
 use crate::result::CubeResult;
-use parking_lot::Mutex;
 use spade_stats::{Interestingness, RunningMoments};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifies one MDA inside one lattice: a lattice node plus an index into
 /// the cube spec's MDA list.
@@ -50,9 +50,15 @@ impl AggregateResultManager {
         Self::default()
     }
 
+    /// The statistics map. A panic while it was held cannot leave it torn
+    /// (every update is one `push`), so a poisoned lock is taken as is.
+    fn stats(&self) -> MutexGuard<'_, HashMap<AggregateId, RunningMoments>> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records one group's aggregated value for an MDA.
     pub fn push(&self, id: AggregateId, value: f64) {
-        self.stats.lock().entry(id).or_default().push(value);
+        self.stats().entry(id).or_default().push(value);
     }
 
     /// Ingests a finished [`CubeResult`] (the batch path used after
@@ -63,7 +69,7 @@ impl AggregateResultManager {
     /// is not associative, so a deterministic order makes scores (and hence
     /// tie-breaking in the top-k) reproducible across runs.
     pub fn ingest(&self, result: &CubeResult) {
-        let mut stats = self.stats.lock();
+        let mut stats = self.stats();
         for (&mask, node) in &result.nodes {
             let mut groups: Vec<(&Vec<u32>, &Vec<Option<f64>>)> =
                 node.visible_groups().collect();
@@ -80,12 +86,12 @@ impl AggregateResultManager {
 
     /// Number of aggregates with at least one group value.
     pub fn aggregate_count(&self) -> usize {
-        self.stats.lock().len()
+        self.stats().len()
     }
 
     /// The incremental min/max statistics of one aggregate, if present.
     pub fn min_max(&self, id: AggregateId) -> Option<(f64, f64)> {
-        let stats = self.stats.lock();
+        let stats = self.stats();
         let m = stats.get(&id)?;
         (m.count() > 0).then(|| (m.min(), m.max()))
     }
@@ -98,7 +104,7 @@ impl AggregateResultManager {
         k: usize,
         labels: &[String],
     ) -> Vec<ScoredAggregate> {
-        let stats = self.stats.lock();
+        let stats = self.stats();
         let mut scored: Vec<ScoredAggregate> = stats
             .iter()
             .map(|(&id, m)| ScoredAggregate {

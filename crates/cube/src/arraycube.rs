@@ -13,11 +13,12 @@
 //! Lemma 1 / Theorem 1 empirically); use [`crate::mvd_cube`] for correct
 //! results.
 
-use crate::engine::{run_engine, CubeAlgebra, EngineExec};
+use crate::engine::{run_engine, CubeAlgebra};
 use crate::mvdcube::{prepare, MvdCubeOptions};
 use crate::result::CubeResult;
 use crate::spec::{CubeSpec, MdaKind};
 use spade_bitmap::Bitmap;
+use spade_parallel::Exec;
 use spade_storage::FactId;
 
 /// Per-measure partial aggregate (the classical cell payload).
@@ -138,19 +139,13 @@ impl<'a, 'b> CubeAlgebra for ArrayAlgebra<'a, 'b> {
 /// dimension (Theorem 1); the experiments use this to measure baseline
 /// errors.
 pub fn array_cube(spec: &CubeSpec<'_>, options: &MvdCubeOptions) -> CubeResult {
-    let (lattice, translation) = prepare(spec, options, None);
-    let algebra = ArrayAlgebra::new(spec);
-    run_engine(
-        spec,
-        &lattice,
-        &translation,
-        &algebra,
-        None,
-        EngineExec::from_options(options),
-        &spade_parallel::Budget::unlimited(),
-        &spade_telemetry::SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
+    let exec = Exec::new(options.threads);
+    prepare(spec, options, None, &exec)
+        .and_then(|(lattice, translation)| {
+            let algebra = ArrayAlgebra::new(spec);
+            run_engine(spec, &lattice, &translation, &algebra, None, options, &exec)
+        })
+        .expect("unlimited budget cannot cancel")
 }
 
 #[cfg(test)]

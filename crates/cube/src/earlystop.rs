@@ -18,11 +18,10 @@
 use crate::lattice::Lattice;
 use crate::spec::{CubeSpec, MdaKind};
 use crate::translate::SampleSet;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::{Cancelled, Exec};
 use spade_stats::ci::EstimatorKind;
 use spade_stats::{GroupSample, Interestingness, InterestingnessCi};
 use spade_storage::{AggFn, FactId};
-use spade_telemetry::SpanCtx;
 use std::collections::HashMap;
 
 /// Early-stop tuning parameters.
@@ -76,7 +75,9 @@ impl EarlyStopOutcome {
     }
 }
 
-/// Per-node sample: group → (sampled facts, estimated group size).
+/// Per-node sample: group → (sampled facts, estimated group size), in
+/// group-key order.
+#[derive(Debug, PartialEq)]
 struct NodeSamples {
     groups: Vec<(Vec<u32>, u64)>,
 }
@@ -94,18 +95,17 @@ fn estimation_group_cap(n_facts: usize) -> usize {
 /// sample is re-capped at the reservoir capacity so per-node estimation
 /// work stays `O(#groups · sample_size)` — the sampling analogue of "each
 /// node in the MMST receives its own sample" (Section 5.3). Nodes are
-/// independent, so the projection fans out over `threads` and merges in
-/// node order.
+/// independent, so the projection fans out over `exec.threads` and merges
+/// in node order.
 fn project_samples(
     lattice: &Lattice,
     samples: &SampleSet,
     group_cap: usize,
-    threads: usize,
-    budget: &Budget,
+    exec: &Exec,
 ) -> Result<HashMap<u32, NodeSamples>, Cancelled> {
     let strides = crate::translate::strides_for(&lattice.domains);
-    let projected = spade_parallel::try_map(lattice.nodes(), threads, |mask| {
-        budget.check()?;
+    let projected = spade_parallel::try_map(lattice.nodes(), exec.threads, |mask| {
+        exec.check()?;
         Ok(project_node(lattice, samples, group_cap, &strides, mask).map(|ns| (mask, ns)))
     })?;
     Ok(projected.into_iter().flatten().collect())
@@ -158,9 +158,14 @@ fn project_node(
     if grouped.len() < 2 || total_sampled < 2 * grouped.len() {
         return None;
     }
+    // Groups in key order: the interval arithmetic sums over them, so a
+    // hash-map order would make borderline pruning decisions vary run to
+    // run.
+    let mut grouped: Vec<(u64, (Vec<u32>, u64))> = grouped.into_iter().collect();
+    grouped.sort_unstable_by_key(|&(key, _)| key);
     let groups = grouped
-        .into_values()
-        .map(|(mut facts, seen)| {
+        .into_iter()
+        .map(|(_, (mut facts, seen))| {
             // A multi-valued fact sampled in several root groups must
             // count once in the consolidated child group (the sampling
             // analogue of the bitmap union). Reservoir contents are
@@ -213,49 +218,23 @@ fn fact_value(spec: &CubeSpec<'_>, measure: usize, agg: AggFn, fact: u32) -> Opt
 /// Runs the early-stop pruning loop over the stratified samples.
 ///
 /// Each batch fans the per-node moment updates and interval computations
-/// out over `threads` (`0` = all cores, `1` = serial) and aggregates the
-/// node-local results **in node order**, so every pruning decision — and
-/// therefore the returned liveness map — is bit-identical at any thread
-/// count.
+/// out over `exec.threads` and aggregates the node-local results **in node
+/// order**, so every pruning decision — and therefore the returned
+/// liveness map — is bit-identical at any thread count. The budget is
+/// polled per node projection and per node-batch shard; checks never alter
+/// any pruning decision. Records an `earlystop` span with batch/pruned
+/// counts.
 pub fn prune(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
     samples: &SampleSet,
     config: &EarlyStopConfig,
-    threads: usize,
-) -> EarlyStopOutcome {
-    prune_budgeted(
-        spec,
-        lattice,
-        samples,
-        config,
-        threads,
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
-}
-
-/// [`prune`] under a request [`Budget`]: the budget is polled per node
-/// projection and per node-batch shard, and the loop unwinds with
-/// [`Cancelled`] once the deadline passes or the request is cancelled.
-/// With [`Budget::unlimited`] this is exactly [`prune`] — checks never
-/// alter any pruning decision. `ctx` records an `earlystop` span with
-/// batch/pruned counts.
-#[allow(clippy::too_many_arguments)]
-pub fn prune_budgeted(
-    spec: &CubeSpec<'_>,
-    lattice: &Lattice,
-    samples: &SampleSet,
-    config: &EarlyStopConfig,
-    threads: usize,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    exec: &Exec,
 ) -> Result<EarlyStopOutcome, Cancelled> {
-    let span = ctx.span("earlystop");
+    let span = exec.span.span("earlystop");
     let mdas = spec.mdas();
     let cap = estimation_group_cap(spec.n_facts);
-    let node_samples = project_samples(lattice, samples, cap, threads, budget)?;
+    let node_samples = project_samples(lattice, samples, cap, exec)?;
     let masks = lattice.nodes();
     let total = masks.len() * mdas.len();
 
@@ -302,7 +281,7 @@ pub fn prune_budgeted(
         .collect();
 
     for batch in 0..config.batches {
-        budget.check()?;
+        exec.check()?;
         let from = (batch * batch_len).min(samples.capacity);
         let cut = ((batch + 1) * batch_len).min(samples.capacity);
         batches_run += 1;
@@ -315,8 +294,8 @@ pub fn prune_budgeted(
         let work: Vec<(u32, Vec<Vec<GroupSample>>)> =
             estimable.iter().copied().zip(std::mem::take(&mut states)).collect();
         let alive_ref = &alive;
-        let shards = spade_parallel::try_map(work, threads, |(mask, mut node_states)| {
-            budget.check()?;
+        let shards = spade_parallel::try_map(work, exec.threads, |(mask, mut node_states)| {
+            exec.check()?;
             let ns = &node_samples[&mask];
             let alive_flags = &alive_ref[&mask];
             let alive_mdas: Vec<usize> = (0..mdas.len())
@@ -523,6 +502,24 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn projected_samples_do_not_depend_on_hash_order() {
+        let (a, b, _, _) = build();
+        let spec = CubeSpec::new(vec![&a, &b], vec![], 400);
+        let lattice = Lattice::new(spec.domain_sizes(), vec![8, 8]);
+        let translation =
+            crate::translate::translate(&spec, &lattice, Some(16), 7, &Exec::new(1)).unwrap();
+        let samples = translation.samples.unwrap();
+        let strides = crate::translate::strides_for(&lattice.domains);
+        // Every call hashes into a fresh, randomly seeded map.
+        let project = || project_node(&lattice, &samples, usize::MAX, &strides, 0b01);
+        let first = project().expect("node 0b01 has several groups");
+        assert!(first.groups.len() > 2);
+        for _ in 0..8 {
+            assert_eq!(project().as_ref(), Some(&first));
         }
     }
 }

@@ -25,7 +25,7 @@ use super::shard::{RegionCells, ShardPartials};
 use super::store::{merge_sorted, RegionStore};
 use super::{CubeAlgebra, LatticePlan};
 use crate::result::{CubeResult, NodeResult};
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::{Cancelled, Exec};
 use spade_telemetry::Span;
 use std::collections::BTreeMap;
 
@@ -66,18 +66,18 @@ pub(crate) fn emit_region_into<A: CubeAlgebra>(
     }
 }
 
-/// Merges shard partials and emits measures into `result`. The budget is
-/// polled once per merge task and once per emit task; on the `Ok` path the
-/// output is bit-identical to an unbudgeted run. `span` (the engine's
-/// merge/emit span) gets region/cell-count attrs; the nested `merge` and
-/// `emit` child spans split the phase durations.
+/// Merges shard partials and emits measures into `result`, fanning out
+/// over `exec.threads`. The budget is polled once per merge task and once
+/// per emit task; on the `Ok` path the output is bit-identical to an
+/// unbudgeted run. `span` (the engine's merge/emit span) gets
+/// region/cell-count attrs; the nested `merge` and `emit` child spans split
+/// the phase durations.
 pub(crate) fn merge_and_emit<A: CubeAlgebra>(
     algebra: &A,
     plan: &LatticePlan<A>,
     shard_outputs: Vec<ShardPartials<A::Cell>>,
-    threads: usize,
     mut result: CubeResult,
-    budget: &Budget,
+    exec: &Exec,
     span: &Span,
 ) -> Result<CubeResult, Cancelled> {
     // —— gather: (node, region) → partials in shard order ——
@@ -93,8 +93,8 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
     span.attr("regions", items.len() as u64);
     let merge_span = span.ctx().span("merge");
     let merged: Vec<KeyedRegion<A::Cell>> =
-        spade_parallel::try_map(items, threads, |((mask, region), mut partials)| {
-            budget.check()?;
+        spade_parallel::try_map(items, exec.threads, |((mask, region), mut partials)| {
+            exec.check()?;
             // Balanced pairwise tree merge: O(n log k) instead of the
             // O(n·k) left fold. Pairing is by partial index (shard order),
             // so the merge tree is fixed by the data-only shard plan.
@@ -127,8 +127,8 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
             tasks.push((*mask, *region, &cells[a..b]));
         }
     }
-    let outputs = spade_parallel::try_map(tasks, threads, |(mask, region, cells)| {
-        budget.check()?;
+    let outputs = spade_parallel::try_map(tasks, exec.threads, |(mask, region, cells)| {
+        exec.check()?;
         let geom = &plan.geoms[&mask];
         let alive = &plan.alive[&mask];
         let emit_plan = &plan.plans[&mask];

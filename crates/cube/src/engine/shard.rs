@@ -34,7 +34,7 @@ use super::store::{merge_batch, ProjectedCell, RegionStore};
 use super::{CubeAlgebra, LatticePlan};
 use crate::result::CubeResult;
 use crate::translate::Translation;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::{Cancelled, Exec};
 use spade_telemetry::Span;
 use std::collections::HashMap;
 
@@ -170,11 +170,11 @@ pub(crate) fn run_shard<A: CubeAlgebra>(
     plan: &LatticePlan<A>,
     translation: &Translation,
     chunks: &[ShardChunk],
-    budget: &Budget,
+    exec: &Exec,
     span: &Span,
 ) -> Result<ShardPartials<A::Cell>, Cancelled> {
     annotate(span, translation, chunks);
-    match cascade(algebra, plan, translation, chunks, ShardSink::Park(Vec::new()), budget)? {
+    match cascade(algebra, plan, translation, chunks, ShardSink::Park(Vec::new()), exec)? {
         ShardSink::Park(out) => Ok(out),
         ShardSink::Emit { .. } => unreachable!("park sink in, park sink out"),
     }
@@ -188,13 +188,13 @@ pub(crate) fn run_shard_emit<A: CubeAlgebra>(
     translation: &Translation,
     chunks: &[ShardChunk],
     result: &mut CubeResult,
-    budget: &Budget,
+    exec: &Exec,
     span: &Span,
 ) -> Result<(), Cancelled> {
     annotate(span, translation, chunks);
     let sink =
         ShardSink::Emit { result, key_buf: Vec::new(), scratch: A::EmitScratch::default() };
-    cascade(algebra, plan, translation, chunks, sink, budget)?;
+    cascade(algebra, plan, translation, chunks, sink, exec)?;
     Ok(())
 }
 
@@ -204,7 +204,7 @@ fn cascade<'r, A: CubeAlgebra>(
     translation: &Translation,
     chunks: &[ShardChunk],
     sink: ShardSink<'r, A>,
-    budget: &Budget,
+    exec: &Exec,
 ) -> Result<ShardSink<'r, A>, Cancelled> {
     let mut totals: HashMap<u32, HashMap<u64, u64>> =
         plan.nodes.iter().map(|&m| (m, HashMap::new())).collect();
@@ -230,7 +230,7 @@ fn cascade<'r, A: CubeAlgebra>(
         // unwinds within one chunk's cascade. Checking *before* the work
         // (never conditionally skipping it) keeps completed outputs
         // bit-identical to the budget-less path.
-        budget.check()?;
+        exec.check()?;
         let partition = &translation.partitions[chunk.partition];
         // Load the chunk into the root. Partition cells are sorted by
         // global index, and global→local is order-preserving within one

@@ -314,6 +314,8 @@ pub fn mvd_cube_baseline(
     spec: &CubeSpec<'_>,
     options: &crate::mvdcube::MvdCubeOptions,
 ) -> CubeResult {
-    let (lattice, translation) = crate::mvdcube::prepare(spec, options, None);
+    let exec = spade_parallel::Exec::new(options.threads);
+    let (lattice, translation) = crate::mvdcube::prepare(spec, options, None, &exec)
+        .expect("unlimited budget cannot cancel");
     run_engine_baseline(spec, &lattice, &translation, None)
 }

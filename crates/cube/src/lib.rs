@@ -51,5 +51,5 @@ pub use lattice::{Lattice, Mmst};
 pub use mvdcube::{mvd_cube, mvd_cube_with_earlystop, MvdCubeOptions};
 pub use pgcube::{pg_cube, PgCubeVariant};
 pub use result::{CubeResult, NodeResult, NULL_CODE_SENTINEL};
-pub use spade_parallel::{Budget, CancelReason, Cancelled};
+pub use spade_parallel::{Budget, CancelReason, Cancelled, Exec};
 pub use spec::{CubeSpec, Mda, MdaKind, MeasureSpec};

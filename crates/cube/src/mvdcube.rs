@@ -9,15 +9,14 @@
 //! by joining each cell's bitmap with the per-fact pre-aggregated measures
 //! (`⊗`), which are ordered by fact ID like the bitmaps.
 
-use crate::engine::{run_engine, CellStorePolicy, CubeAlgebra, EngineExec};
+use crate::engine::{run_engine, CellStorePolicy, CubeAlgebra};
 use crate::lattice::Lattice;
 use crate::result::CubeResult;
 use crate::spec::{CubeSpec, MdaKind};
 use crate::translate::Translation;
 use spade_bitmap::Bitmap;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::{Cancelled, Exec};
 use spade_storage::MeasureTotals;
-use spade_telemetry::SpanCtx;
 use std::collections::HashMap;
 
 /// Tuning knobs for an MVDCube run.
@@ -33,7 +32,10 @@ pub struct MvdCubeOptions {
     /// Worker threads for the region-sharded engine *within this one
     /// lattice* (`0` = all cores, `1` = serial). A pure latency knob:
     /// MVDCube results are plan-invariant (see the engine module docs), so
-    /// every value yields bit-identical results.
+    /// every value yields bit-identical results. Read only by the
+    /// whole-lattice entry points ([`mvd_cube`], [`mvd_cube_with_earlystop`],
+    /// [`crate::array_cube`], the baselines), which build their [`Exec`]
+    /// from it; the functions that take an [`Exec`] ignore it.
     pub threads: usize,
     /// Target shard weight override for the region-sharded executor
     /// (`None` = auto); exposed for tests and benchmarks so equivalence
@@ -187,107 +189,52 @@ impl<'a, 'b> CubeAlgebra for MvdAlgebra<'a, 'b> {
 
 /// Builds the lattice and translation for a spec (shared with baselines and
 /// the pipeline so comparisons and benchmarks use identical layouts).
+/// Translation fans out over `exec.threads` and polls the budget per work
+/// item, recording a `translate` span (see [`crate::translate::translate`]).
 pub fn prepare(
     spec: &CubeSpec<'_>,
     options: &MvdCubeOptions,
     sample_capacity: Option<usize>,
-) -> (Lattice, Translation) {
-    prepare_budgeted(spec, options, sample_capacity, &Budget::unlimited(), &SpanCtx::disabled())
-        .expect("unlimited budget cannot cancel")
-}
-
-/// [`prepare`] under a request [`Budget`]: translation fans out over
-/// `options.threads` and polls the budget per work item, so a cancelled
-/// request unwinds during translation instead of running it to completion.
-/// `ctx` records a `translate` span with cell/fact counts.
-pub fn prepare_budgeted(
-    spec: &CubeSpec<'_>,
-    options: &MvdCubeOptions,
-    sample_capacity: Option<usize>,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    exec: &Exec,
 ) -> Result<(Lattice, Translation), Cancelled> {
     let domains = spec.domain_sizes();
     let chunks = chunk_sizes(&domains, options, spec.n_facts);
     let lattice = Lattice::new(domains, chunks);
-    let translation = crate::translate::translate_budgeted(
-        spec,
-        &lattice,
-        sample_capacity,
-        options.seed,
-        options.threads,
-        budget,
-        ctx,
-    )?;
+    let translation =
+        crate::translate::translate(spec, &lattice, sample_capacity, options.seed, exec)?;
     Ok((lattice, translation))
 }
 
-/// Evaluates the full lattice with MVDCube.
+/// Evaluates the full lattice with MVDCube, over `options.threads` workers.
 pub fn mvd_cube(spec: &CubeSpec<'_>, options: &MvdCubeOptions) -> CubeResult {
-    let (lattice, translation) = prepare(spec, options, None);
-    let algebra = MvdAlgebra::new(spec);
-    run_engine(
-        spec,
-        &lattice,
-        &translation,
-        &algebra,
-        None,
-        EngineExec::from_options(options),
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
+    let exec = Exec::new(options.threads);
+    prepare(spec, options, None, &exec)
+        .and_then(|(lattice, translation)| {
+            let algebra = MvdAlgebra::new(spec);
+            run_engine(spec, &lattice, &translation, &algebra, None, options, &exec)
+        })
+        .expect("unlimited budget cannot cancel")
 }
 
 /// Evaluates with a per-node MDA liveness map (early-stop output): dead
 /// MDAs are not computed, and MMST subtrees with no live descendant are not
 /// even propagated into.
+///
+/// The engine fans out over `exec.threads`, polls the budget between
+/// region flushes and merge/emit tasks, and unwinds with [`Cancelled`] in
+/// bounded time once the deadline passes. Checks never alter the
+/// computation, so a completed run is bit-identical whatever the budget.
+/// Records per-shard child spans (see the engine module docs).
 pub fn mvd_cube_pruned(
     spec: &CubeSpec<'_>,
     options: &MvdCubeOptions,
     lattice: &Lattice,
     translation: &Translation,
     alive: &HashMap<u32, Vec<bool>>,
-) -> CubeResult {
-    mvd_cube_pruned_budgeted(
-        spec,
-        options,
-        lattice,
-        translation,
-        alive,
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    )
-    .expect("unlimited budget cannot cancel")
-}
-
-/// [`mvd_cube_pruned`] under a request [`Budget`]: the engine polls the
-/// budget between region flushes and merge/emit tasks and unwinds with
-/// [`Cancelled`] in bounded time once the deadline passes. Checks never
-/// alter the computation, so a completed run is bit-identical to
-/// [`mvd_cube_pruned`]. `ctx` records per-shard child spans (see the
-/// engine module docs).
-#[allow(clippy::too_many_arguments)]
-pub fn mvd_cube_pruned_budgeted(
-    spec: &CubeSpec<'_>,
-    options: &MvdCubeOptions,
-    lattice: &Lattice,
-    translation: &Translation,
-    alive: &HashMap<u32, Vec<bool>>,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    exec: &Exec,
 ) -> Result<CubeResult, Cancelled> {
     let algebra = MvdAlgebra::new(spec);
-    run_engine(
-        spec,
-        lattice,
-        translation,
-        &algebra,
-        Some(alive),
-        EngineExec::from_options(options),
-        budget,
-        ctx,
-    )
+    run_engine(spec, lattice, translation, &algebra, Some(alive), options, exec)
 }
 
 /// Runs early-stop pruning and then evaluates the surviving MDAs — the
@@ -298,11 +245,16 @@ pub fn mvd_cube_with_earlystop(
     options: &MvdCubeOptions,
     config: &crate::earlystop::EarlyStopConfig,
 ) -> (CubeResult, crate::earlystop::EarlyStopOutcome) {
-    let (lattice, translation) = prepare(spec, options, Some(config.sample_size));
-    let samples = translation.samples.clone().expect("sampling was enabled");
-    let outcome = crate::earlystop::prune(spec, &lattice, &samples, config, options.threads);
-    let result = mvd_cube_pruned(spec, options, &lattice, &translation, &outcome.alive);
-    (result, outcome)
+    let exec = Exec::new(options.threads);
+    let run = || -> Result<_, Cancelled> {
+        let (lattice, translation) = prepare(spec, options, Some(config.sample_size), &exec)?;
+        let samples = translation.samples.as_ref().expect("sampling was enabled");
+        let outcome = crate::earlystop::prune(spec, &lattice, samples, config, &exec)?;
+        let result =
+            mvd_cube_pruned(spec, options, &lattice, &translation, &outcome.alive, &exec)?;
+        Ok((result, outcome))
+    };
+    run().expect("unlimited budget cannot cancel")
 }
 
 #[cfg(test)]

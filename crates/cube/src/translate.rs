@@ -19,7 +19,7 @@
 //!
 //! # Parallel structure
 //!
-//! [`translate_budgeted`] runs three deterministic stages on
+//! [`translate`] runs three deterministic stages on
 //! `spade_parallel`:
 //!
 //! 1. **entry generation** over fact ranges (chunk boundaries depend only
@@ -38,9 +38,8 @@ use crate::lattice::Lattice;
 use crate::spec::CubeSpec;
 use rand::Rng;
 use spade_bitmap::Bitmap;
-use spade_parallel::{Budget, Cancelled};
+use spade_parallel::{Cancelled, Exec};
 use spade_storage::FactId;
-use spade_telemetry::SpanCtx;
 use std::collections::HashMap;
 
 /// Uniform sample without replacement from a materialized group run —
@@ -113,52 +112,26 @@ pub fn strides_for(domains: &[u32]) -> Vec<u64> {
 /// size, so every thread count generates identical chunk streams.
 const FACT_CHUNK: usize = 8192;
 
-/// Translates the CFS into the partitioned array representation
-/// (serial convenience wrapper over [`translate_budgeted`]).
+/// Translates the CFS into the partitioned array representation.
 ///
 /// `sample_capacity` enables reservoir sampling with the given per-group
-/// size; `seed` makes the sample deterministic.
+/// size; `seed` makes the sample deterministic. Output is bit-identical
+/// at any `exec.threads`; the budget is checked once per fact chunk and
+/// once per partition, so cancellation latency is bounded by one work
+/// item. Records a `translate` span with partition and cell counts.
 pub fn translate(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
     sample_capacity: Option<usize>,
     seed: u64,
-) -> Translation {
-    match translate_budgeted(
-        spec,
-        lattice,
-        sample_capacity,
-        seed,
-        1,
-        &Budget::unlimited(),
-        &SpanCtx::disabled(),
-    ) {
-        Ok(t) => t,
-        Err(_) => unreachable!("unlimited budget cannot cancel"),
-    }
-}
-
-/// Parallel, cancellable translation. Output is bit-identical to
-/// [`translate`] at any `threads` value; `budget` is checked once per
-/// fact chunk and once per partition, so cancellation latency is bounded
-/// by one work item. `ctx` records a `translate` span with partition and
-/// cell counts.
-#[allow(clippy::too_many_arguments)]
-pub fn translate_budgeted(
-    spec: &CubeSpec<'_>,
-    lattice: &Lattice,
-    sample_capacity: Option<usize>,
-    seed: u64,
-    threads: usize,
-    budget: &Budget,
-    ctx: &SpanCtx,
+    exec: &Exec,
 ) -> Result<Translation, Cancelled> {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    let span = ctx.span("translate");
-    spade_parallel::fault::fire_with_budget("translate", Some(budget));
-    budget.check()?;
+    let span = exec.span.span("translate");
+    spade_parallel::fault::fire_with_budget("translate", exec.budget);
+    exec.check()?;
 
     let domains = lattice.domains.clone();
     let total_cells: u128 = domains.iter().map(|&d| d as u128).product();
@@ -174,8 +147,8 @@ pub fn translate_budgeted(
     // cell.
     let ranges = spade_parallel::chunk_ranges(spec.n_facts, FACT_CHUNK);
     let chunked: Vec<Vec<(u64, u64, u32)>> =
-        spade_parallel::try_map(ranges, threads, |(lo, hi)| {
-            budget.check()?;
+        spade_parallel::try_map(ranges, exec.threads, |(lo, hi)| {
+            exec.check()?;
             let mut entries: Vec<(u64, u64, u32)> = Vec::new();
             let mut code_lists: Vec<&[u32]> = Vec::with_capacity(spec.n_dims());
             for fact in lo as u32..hi as u32 {
@@ -234,14 +207,14 @@ pub fn translate_budgeted(
     for c in chunked {
         entries.extend(c);
     }
-    budget.check()?;
+    exec.check()?;
 
     // Stage 2: one sort groups the entries by (partition, cell); the
     // triples are unique and facts ascend within each (partition, cell)
     // group as generated, so the unstable sort by the full key equals the
     // serial stable (partition, cell) sort bit for bit.
-    let entries = spade_parallel::par_sort(entries, threads);
-    budget.check()?;
+    let entries = spade_parallel::par_sort(entries, exec.threads);
+    exec.check()?;
 
     // Stage 3: materialize partitions in row-major chunk order (the sort
     // already put them there); each partition is independent.
@@ -260,8 +233,8 @@ pub fn translate_budgeted(
     // One partition's cells plus its `(cell, (sample, group size))` groups.
     type BuiltPartition = (Partition, Vec<(u64, (Vec<u32>, u64))>);
     let built: Vec<BuiltPartition> =
-        spade_parallel::try_map(part_ranges, threads, |(part, range)| {
-            budget.check()?;
+        spade_parallel::try_map(part_ranges, exec.threads, |(part, range)| {
+            exec.check()?;
             let run = &entries[range];
             let coords: Vec<u32> = n_chunks
                 .iter()
@@ -342,7 +315,7 @@ mod tests {
         let (nat, gender) = mini_spec();
         let spec = CubeSpec::new(vec![&nat, &gender], vec![], 2);
         let lattice = Lattice::new(spec.domain_sizes(), vec![4, 2]);
-        let t = translate(&spec, &lattice, None, 0);
+        let t = translate(&spec, &lattice, None, 0, &Exec::new(1)).unwrap();
         let total_pairs: usize = t
             .partitions
             .iter()
@@ -367,7 +340,7 @@ mod tests {
         let gen = CategoricalColumn::from_rows("gen", &[vec!["F"], vec![]]);
         let spec = CubeSpec::new(vec![&nat, &gen], vec![], 2);
         let lattice = Lattice::new(spec.domain_sizes(), vec![2, 2]);
-        let t = translate(&spec, &lattice, None, 0);
+        let t = translate(&spec, &lattice, None, 0, &Exec::new(1)).unwrap();
         let facts: Vec<u32> = t
             .partitions
             .iter()
@@ -383,7 +356,7 @@ mod tests {
         let spec = CubeSpec::new(vec![&nat, &gender], vec![], 2);
         // chunk 2 along nationality (4 values → 2 chunks), 2 along gender.
         let lattice = Lattice::new(spec.domain_sizes(), vec![2, 2]);
-        let t = translate(&spec, &lattice, None, 0);
+        let t = translate(&spec, &lattice, None, 0, &Exec::new(1)).unwrap();
         let coords: Vec<Vec<u32>> = t.partitions.iter().map(|p| p.coords.clone()).collect();
         // Sorted row-major; codes 0..1 are chunk 0, 2..3 chunk 1 on dim 0.
         for w in coords.windows(2) {
@@ -405,7 +378,7 @@ mod tests {
         let (nat, gender) = mini_spec();
         let spec = CubeSpec::new(vec![&nat, &gender], vec![], 2);
         let lattice = Lattice::new(spec.domain_sizes(), vec![4, 2]);
-        let t = translate(&spec, &lattice, Some(8), 7);
+        let t = translate(&spec, &lattice, Some(8), 7, &Exec::new(1)).unwrap();
         let samples = t.samples.unwrap();
         assert_eq!(samples.capacity, 8);
         // Three occupied cells, each with one fact; reservoirs hold them all.
@@ -432,19 +405,9 @@ mod tests {
         let col_b = CategoricalColumn::from_rows("b", &rows_b);
         let spec = CubeSpec::new(vec![&col_a, &col_b], vec![], 300);
         let lattice = Lattice::new(spec.domain_sizes(), vec![2, 2]);
-        let budget = Budget::unlimited();
-        let serial = translate(&spec, &lattice, Some(4), 42);
+        let serial = translate(&spec, &lattice, Some(4), 42, &Exec::new(1)).unwrap();
         for threads in [2usize, 8] {
-            let par = translate_budgeted(
-                &spec,
-                &lattice,
-                Some(4),
-                42,
-                threads,
-                &budget,
-                &SpanCtx::disabled(),
-            )
-            .unwrap();
+            let par = translate(&spec, &lattice, Some(4), 42, &Exec::new(threads)).unwrap();
             assert_eq!(par.strides, serial.strides);
             assert_eq!(par.partitions.len(), serial.partitions.len());
             for (p, s) in par.partitions.iter().zip(serial.partitions.iter()) {
@@ -466,10 +429,10 @@ mod tests {
         let (nat, gender) = mini_spec();
         let spec = CubeSpec::new(vec![&nat, &gender], vec![], 2);
         let lattice = Lattice::new(spec.domain_sizes(), vec![4, 2]);
-        let budget = Budget::unlimited();
+        let budget = spade_parallel::Budget::unlimited();
         budget.cancel();
-        assert!(translate_budgeted(&spec, &lattice, None, 0, 2, &budget, &SpanCtx::disabled())
-            .is_err());
+        let exec = Exec { budget: Some(&budget), ..Exec::new(2) };
+        assert!(translate(&spec, &lattice, None, 0, &exec).is_err());
     }
 
     #[test]

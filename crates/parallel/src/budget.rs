@@ -1,8 +1,9 @@
 //! Cooperative request budgets: a shared deadline + cancellation flag that
 //! long-running pipeline stages poll at their natural batch boundaries.
 //!
-//! A [`Budget`] is created once per request (or [`Budget::unlimited`] for
-//! offline runs) and threaded **by reference** through every stage. Stages
+//! A [`Budget`] is created once per request and threaded **by reference**,
+//! inside the stage's [`Exec`](crate::Exec), through every stage (an
+//! `Exec` without a budget cannot cancel). Stages
 //! call [`Budget::check`] between units of work — per CFS candidate, per
 //! early-stop batch, per region-shard chunk flush — and unwind with the
 //! typed [`Cancelled`] error when the deadline passed or the request was

@@ -17,9 +17,11 @@
 //! output.
 
 pub mod budget;
+pub mod exec;
 pub mod fault;
 
 pub use budget::{Budget, CancelReason, Cancelled};
+pub use exec::Exec;
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -10,6 +10,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// One parsed response.
@@ -81,17 +82,25 @@ pub struct Client {
 impl Client {
     /// Connects lazily on first use.
     pub fn new(addr: SocketAddr) -> Client {
-        let seed = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x9e37_79b9_7f4a_7c15)
-            | 1; // xorshift must not start at 0
+        // Clients created in the same instant (a herd of threads) must not
+        // share a jitter sequence, or their retries stay in lockstep:
+        // number every client, and spread the seed's bits with the
+        // splitmix64 finalizer — xorshift output from seeds that differ
+        // only in their low bits differs only in its low bits, which the
+        // jitter factor discards.
+        static CLIENTS: AtomicU64 = AtomicU64::new(0);
+        let nanos =
+            SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_nanos() as u64);
+        let mut z =
+            nanos ^ CLIENTS.fetch_add(1, Ordering::Relaxed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         Client {
             addr,
             stream: None,
             timeout: Duration::from_secs(30),
             retry: RetryPolicy::default(),
-            jitter_state: seed,
+            jitter_state: (z ^ (z >> 31)) | 1, // xorshift must not start at 0
         }
     }
 
@@ -271,4 +280,20 @@ fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
     }
     body.truncate(content_length);
     Ok(Response { status, headers, body })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clients_created_together_draw_independent_jitter() {
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let draws: Vec<f64> = (0..8).map(|_| Client::new(addr).jitter()).collect();
+        assert!(draws.iter().all(|j| (0.5..=1.0).contains(j)), "{draws:?}");
+        // A herd sharing one jitter sequence would retry in lockstep.
+        let spread = draws.iter().copied().fold(f64::MIN, f64::max)
+            - draws.iter().copied().fold(f64::MAX, f64::min);
+        assert!(spread > 0.05, "herd jitter must spread: {draws:?}");
+    }
 }

@@ -39,9 +39,10 @@
 //!   exits within a bounded deadline,
 //! * **request lifecycle hardening**: per-request deadlines cancel
 //!   overrunning evaluations cooperatively (a [`spade_core::Budget`]
-//!   threaded through every pipeline stage), panics are isolated per
-//!   request, and [`admission`] control sheds over-budget work before it
-//!   starts — see *Failure modes and SLOs* below.
+//!   carried to every pipeline stage in its [`spade_core::Exec`]), panics
+//!   are isolated per request, and [`admission`] control sheds
+//!   over-budget work before it starts — see *Failure modes and SLOs*
+//!   below.
 //!
 //! # Wire protocol
 //!

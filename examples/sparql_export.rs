@@ -10,10 +10,10 @@
 //! Run: `cargo run --release --example sparql_export`
 
 use spade::core::sparql::{mda_to_sparql, SparqlMeasure};
-use spade::core::{analysis, cfs, offline, AttrKind};
+use spade::core::{analysis, cfs, offline, AttrKind, Budget, Cancelled, Exec};
 use spade::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Cancelled> {
     let graph = spade::datagen::ceos_figure1();
     let config = SpadeConfig {
         min_cfs_size: 2,
@@ -23,9 +23,11 @@ fn main() {
     };
 
     // Steps 1–2 of the pipeline, to obtain analyzed attributes.
-    let stats = offline::analyze(&graph);
-    let (derived, _) = offline::enumerate_derivations(&graph, &stats, &config);
-    let cfs_list = cfs::select(&graph, &[cfs::CfsStrategy::TypeBased], &config);
+    // An uncancellable context: the `?`s below never fire.
+    let exec = Exec::new(config.threads);
+    let stats = offline::analyze_budgeted(&graph, exec.threads, &Budget::unlimited())?;
+    let (derived, _) = offline::enumerate_derivations(&graph, &stats, &config, &exec)?;
+    let cfs_list = cfs::select(&graph, &[cfs::CfsStrategy::TypeBased], &config, &exec)?;
     let ceo_cfs = cfs_list.iter().find(|c| c.name == "type:CEO").expect("CEO CFS");
     let a = analysis::analyze_cfs(&graph, ceo_cfs, &derived, &config);
 
@@ -77,4 +79,5 @@ fn main() {
     println!("\nNote the inner '{{ SELECT ?cf … GROUP BY ?cf }}' subqueries: they");
     println!("pre-aggregate per fact, so multi-valued dimensions cannot double-count");
     println!("(the Section 4.2 pitfall).");
+    Ok(())
 }

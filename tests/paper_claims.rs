@@ -2,7 +2,7 @@
 //! (Figure 1's graph, end to end through the real pipeline modules, not
 //! hand-built columns).
 
-use spade::core::{analysis, cfs, offline};
+use spade::core::{analysis, cfs, offline, Budget, Exec};
 use spade::cube::{compare_results, Lattice};
 use spade::cube::{mvd_cube, pg_cube, MvdCubeOptions, PgCubeVariant};
 use spade::prelude::*;
@@ -17,9 +17,16 @@ fn example3_via_pipeline() -> (spade::core::CfsAnalysis, Vec<usize>, usize) {
         max_distinct_ratio: 5.0,
         ..SpadeConfig::default()
     };
-    let stats = offline::analyze(&graph);
-    let (derived, _) = offline::enumerate_derivations(&graph, &stats, &config);
-    let cfs_list = cfs::select(&graph, &[cfs::CfsStrategy::TypeBased], &config);
+    let stats = offline::analyze_budgeted(&graph, 1, &Budget::unlimited()).unwrap();
+    let (derived, _) =
+        offline::enumerate_derivations(&graph, &stats, &config, &Exec::new(1)).unwrap();
+    let cfs_list = cfs::select(
+        &graph,
+        &[cfs::CfsStrategy::TypeBased],
+        &config,
+        &Exec::new(config.threads),
+    )
+    .unwrap();
     let ceo = cfs_list.iter().find(|c| c.name == "type:CEO").unwrap();
     let a = analysis::analyze_cfs(&graph, ceo, &derived, &config);
     let idx = |name: &str| {
