@@ -264,7 +264,7 @@ pub fn topk_accuracy(
     let ids = |results: &[CubeResult]| -> Vec<(usize, u32, usize)> {
         let mut scored: Vec<(f64, (usize, u32, usize))> = Vec::new();
         for (li, r) in results.iter().enumerate() {
-            for s in spade_cube::arm::top_k_of_result(r, h, usize::MAX) {
+            for s in spade_cube::arm::score(r, h) {
                 scored.push((s.score, (li, s.id.node_mask, s.id.mda)));
             }
         }

@@ -33,7 +33,7 @@
 //! | **Run**      | (symmetric)                      | interval merge, `O(runs)`  | range-masked word ops          |
 //! | **Bitset**   | bit scatter / probe              | range fill / range popcount | word-at-a-time `u64` loops with fused cardinality+run counting |
 //!
-//! The word-at-a-time loops ([`crate::kernels`] internally) are plain
+//! The word-at-a-time loops (`crate::kernels` internally) are plain
 //! fixed-length `u64` passes with no per-bit branches, shaped for
 //! autovectorization; bulk bitset ops recompute cardinality *and* run
 //! count in the same pass so the canonical-representation decision is

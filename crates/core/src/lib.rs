@@ -15,8 +15,10 @@
 //!    meaningless candidates;
 //! 4. Aggregate Evaluation ([`evaluate`]): MVDCube with optional early-stop
 //!    pruning, results shared across overlapping lattices;
-//! 5. Top-k Computation ([`pipeline`]): interestingness scoring through the
-//!    Aggregate Result Manager.
+//! 5. Top-k Computation ([`pipeline`]): every evaluated aggregate is scored
+//!    by [`spade_cube::arm::score`] in one pass over its groups, all scores
+//!    are ranked once, and only the `k` winners get labels and group
+//!    samples.
 //!
 //! [`Spade`] ties everything together; see `examples/quickstart.rs` for the
 //! three-line entry point.

@@ -1,6 +1,6 @@
 //! Maximal Frequent Sets of attributes (Section 3, Step 3(b)).
 //!
-//! "We compute the Maximal Frequent Sets of attributes [25] in the CFS.
+//! "We compute the Maximal Frequent Sets of attributes \[25\] in the CFS.
 //! Each of the found sets is the root of one lattice."
 //!
 //! An attribute set is *frequent* when the fraction of facts carrying **all**

@@ -13,7 +13,7 @@ use crate::enumeration::{enumerate, LatticeSpec};
 use crate::evaluate::evaluate_cfs;
 use crate::json::JsonWriter;
 use crate::offline::{self, DerivationCounts, OfflineStats};
-use spade_cube::arm::top_k_of_result;
+use spade_cube::arm::{score, Score};
 use spade_cube::result::NULL_CODE;
 use spade_parallel::{Budget, Cancelled, Exec};
 use spade_rdf::{Graph, NtParseError};
@@ -566,21 +566,20 @@ impl Spade {
             report.pruned_by_es += e.pruned_by_es;
         }
 
-        // —— Step 5: top-k (parallel per lattice result) ——
+        // —— Step 5: top-k ——
+        // Score every aggregate (parallel per lattice result), rank them all
+        // once, and materialize display details (dimension names, group
+        // samples) for the k winners only. Scores merge in input order, so
+        // the concatenation below — and therefore the tie-broken ranking —
+        // is identical for every thread count.
         let span = exec.span.span("topk");
-        // Score first with a light record; only the k winners get their
-        // display details (dimension names, group samples) materialized.
-        // Scoring fans out over the per-lattice results and merges in input
-        // order, so the concatenation below — and therefore the tie-broken
-        // sort — is identical for every thread count.
-        struct Scored {
+        struct Scored<'a> {
             cfs_idx: usize,
             lattice_idx: usize,
-            id: spade_cube::arm::AggregateId,
-            label: String,
-            score: f64,
-            groups: usize,
+            score: Score,
+            label: &'a str,
         }
+        let score_span = span.ctx().span("score");
         let score_inputs: Vec<(usize, usize, &spade_cube::CubeResult)> = evaluations
             .iter()
             .enumerate()
@@ -597,36 +596,44 @@ impl Spade {
             exec.threads,
             |(cfs_idx, lattice_idx, result)| {
                 exec.check()?;
-                Ok(top_k_of_result(result, config.interestingness, usize::MAX)
+                Ok(score(result, config.interestingness)
                     .into_iter()
-                    .filter(|s| s.score > 0.0)
-                    .map(|s| Scored {
+                    .map(|score| Scored {
                         cfs_idx,
                         lattice_idx,
-                        id: s.id,
-                        label: s.mda_label,
-                        score: s.score,
-                        groups: s.group_count,
+                        score,
+                        label: &result.mda_labels[score.id.mda],
                     })
                     .collect())
             },
         )?;
-        let mut scored: Vec<Scored> = per_result.into_iter().flatten().collect();
-        scored.sort_by(|a, b| {
+        let mut ranked: Vec<Scored> = per_result.into_iter().flatten().collect();
+        score_span.attr("aggregates", ranked.len() as u64);
+        score_span.finish();
+
+        let rank_span = span.ctx().span("rank");
+        ranked.retain(|s| s.score.score > 0.0);
+        rank_span.attr("candidates", ranked.len() as u64);
+        ranked.sort_by(|a, b| {
             b.score
-                .total_cmp(&a.score)
+                .score
+                .total_cmp(&a.score.score)
                 .then_with(|| a.cfs_idx.cmp(&b.cfs_idx))
-                .then_with(|| a.label.cmp(&b.label))
-                .then_with(|| a.id.cmp(&b.id))
+                .then_with(|| a.label.cmp(b.label))
+                .then_with(|| a.score.id.cmp(&b.score.id))
         });
-        scored.truncate(config.k);
-        report.top = scored
+        ranked.truncate(config.k);
+        rank_span.finish();
+
+        let materialize_span = span.ctx().span("materialize");
+        materialize_span.attr("top", ranked.len() as u64);
+        report.top = ranked
             .into_iter()
             .map(|s| {
                 let analysis = &analyses[s.cfs_idx];
                 let lattice_spec = &lattice_specs[s.cfs_idx][s.lattice_idx];
                 let result = &evaluations[s.cfs_idx].results[s.lattice_idx];
-                let node = result.node(s.id.node_mask).expect("scored node exists");
+                let node = result.node(s.score.id.node_mask).expect("scored node exists");
                 TopAggregate {
                     cfs: analysis.name.clone(),
                     dims: node
@@ -636,13 +643,14 @@ impl Spade {
                             analysis.attributes[lattice_spec.dims[pos]].def.name.clone()
                         })
                         .collect(),
-                    mda: s.label,
-                    score: s.score,
-                    groups: s.groups,
-                    sample_groups: sample_groups(analysis, lattice_spec, node, s.id.mda),
+                    mda: s.label.to_owned(),
+                    score: s.score.score,
+                    groups: s.score.groups,
+                    sample_groups: sample_groups(analysis, lattice_spec, node, s.score.id.mda),
                 }
             })
             .collect();
+        materialize_span.finish();
         report.timings.topk = span.finish();
         Ok(report)
     }

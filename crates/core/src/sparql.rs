@@ -1,7 +1,7 @@
 //! Rendering MDAs as SPARQL 1.1 aggregate queries.
 //!
 //! Section 2: "The semantics of A is that of a SPARQL 1.1 aggregate query
-//! [13] … The query can be expressed in a language such as SPARQL 1.1 …
+//! \[13\] … The query can be expressed in a language such as SPARQL 1.1 …
 //! and evaluated by any RDF query engine." This module emits that query for
 //! any discovered aggregate, so a user can re-run an insight on their own
 //! triple store.

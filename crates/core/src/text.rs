@@ -53,7 +53,7 @@ fn tokens(text: &str, min_len: usize) -> Vec<String> {
 /// Extracts keywords from a text property value: lowercased alphabetic
 /// tokens of length ≥ `min_len`, minus stopwords, deduplicated.
 ///
-/// E.g. "Sonangol oversees petroleum production" → the company "gain[s] the
+/// E.g. "Sonangol oversees petroleum production" → the company "gain\[s\] the
 /// multi-valued attribute kwInDescription with the values Petroleum and
 /// Production" (Section 3) — plus the other content words.
 pub fn keywords(text: &str, min_len: usize) -> Vec<String> {

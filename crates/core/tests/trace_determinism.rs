@@ -25,7 +25,7 @@ const ONLINE_STAGES: [&str; 6] = [
 ];
 
 /// Distinct span paths of a plain (no early-stop) traced run.
-const SPAN_PATHS: [&str; 14] = [
+const SPAN_PATHS: [&str; 17] = [
     "attribute_analysis",
     "cfs_selection",
     "cfs_selection/summary_based",
@@ -40,6 +40,9 @@ const SPAN_PATHS: [&str; 14] = [
     "evaluation/cfs/lattice/translate",
     "offline_analysis",
     "topk",
+    "topk/materialize",
+    "topk/rank",
+    "topk/score",
 ];
 
 /// The early-stop run adds one path: each lattice's pruning span.

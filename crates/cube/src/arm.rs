@@ -1,17 +1,24 @@
-//! The Aggregate Result Manager (ARM).
+//! The Aggregate Result Manager (ARM): scoring evaluated MDAs.
 //!
-//! Section 3, Steps 4–5: "The final results are produced in an incremental
-//! fashion and handled by the Aggregate Result Manager (ARM). The ARM stores
-//! them and incrementally updates statistics such as minimum and maximum
-//! values … used to determine the interestingness of the computed MDAs (by
-//! applying h) in one pass over their results. … Once the evaluation is
-//! complete, the ARM retrieves all the evaluated MDAs, computes their
-//! interestingness score by applying h, and returns the k best aggregates."
+//! Section 3, Steps 4–5: "The ARM stores them and incrementally updates
+//! statistics such as minimum and maximum values … used to determine the
+//! interestingness of the computed MDAs (by applying h) in one pass over
+//! their results."
+//!
+//! [`score`] is that pass over one finished [`CubeResult`]. For each lattice
+//! node it takes the *visible* groups (per Section 2, CFs missing a
+//! dimension do not contribute to the result), orders them by key, and
+//! folds every group's value for MDA `i` into the `i`-th [`RunningMoments`]
+//! of a per-node vector. Each MDA that received at least one value yields a
+//! [`Score`]. Ranking the scores, and attaching labels to the winners, is
+//! the caller's job.
+//!
+//! The key order is the canonical fold order: floating-point addition is not
+//! associative, so folding in a fixed order makes every score, and hence
+//! every tie-break in a top-k built on it, bit-reproducible.
 
 use crate::result::CubeResult;
 use spade_stats::{Interestingness, RunningMoments};
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifies one MDA inside one lattice: a lattice node plus an index into
 /// the cube spec's MDA list.
@@ -23,118 +30,54 @@ pub struct AggregateId {
     pub mda: usize,
 }
 
-/// A scored aggregate, ready for the top-k list.
-#[derive(Clone, Debug)]
-pub struct ScoredAggregate {
+/// The interestingness of one aggregate.
+#[derive(Clone, Copy, Debug)]
+pub struct Score {
     /// Which aggregate.
     pub id: AggregateId,
-    /// `f(M)` label, e.g. `sum(netWorth)`.
-    pub mda_label: String,
     /// Interestingness score `h({t₁.v … t_W.v})`.
     pub score: f64,
-    /// Number of groups `W` in the result.
-    pub group_count: usize,
+    /// Number of groups `W` with a value for this MDA.
+    pub groups: usize,
 }
 
-/// Accumulates per-aggregate statistics in one pass and ranks by `h`.
+/// Scores every aggregate of `result` with `h` in one pass over its groups.
 ///
-/// Thread-safe: evaluation code may push group values from worker threads.
-#[derive(Debug, Default)]
-pub struct AggregateResultManager {
-    stats: Mutex<HashMap<AggregateId, RunningMoments>>,
-}
-
-impl AggregateResultManager {
-    /// Creates an empty manager.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The statistics map. A panic while it was held cannot leave it torn
-    /// (every update is one `push`), so a poisoned lock is taken as is.
-    fn stats(&self) -> MutexGuard<'_, HashMap<AggregateId, RunningMoments>> {
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Records one group's aggregated value for an MDA.
-    pub fn push(&self, id: AggregateId, value: f64) {
-        self.stats().entry(id).or_default().push(value);
-    }
-
-    /// Ingests a finished [`CubeResult`] (the batch path used after
-    /// MVDCube/PGCube runs). Only *visible* groups are scored: per
-    /// Section 2, CFs missing a dimension do not contribute to the result.
-    ///
-    /// Groups are consumed in sorted key order: floating-point accumulation
-    /// is not associative, so a deterministic order makes scores (and hence
-    /// tie-breaking in the top-k) reproducible across runs.
-    pub fn ingest(&self, result: &CubeResult) {
-        let mut stats = self.stats();
-        for (&mask, node) in &result.nodes {
-            let mut groups: Vec<(&Vec<u32>, &Vec<Option<f64>>)> =
-                node.visible_groups().collect();
-            groups.sort_by(|a, b| a.0.cmp(b.0));
-            for (_, values) in groups {
-                for (mda, v) in values.iter().enumerate() {
-                    if let Some(v) = v {
-                        stats.entry(AggregateId { node_mask: mask, mda }).or_default().push(*v);
-                    }
+/// Returns one [`Score`] per (node, MDA) with at least one visible value,
+/// ordered by [`AggregateId`].
+pub fn score(result: &CubeResult, h: Interestingness) -> Vec<Score> {
+    let mut nodes: Vec<_> = result.nodes.iter().collect();
+    nodes.sort_unstable_by_key(|&(&mask, _)| mask);
+    let mut moments = vec![RunningMoments::new(); result.mda_labels.len()];
+    let mut groups = Vec::new();
+    let mut out = Vec::new();
+    for (&node_mask, node) in nodes {
+        groups.clear();
+        groups.extend(node.visible_groups());
+        groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        moments.fill(RunningMoments::new());
+        for (_, values) in &groups {
+            for (m, v) in moments.iter_mut().zip(values.iter()) {
+                if let Some(v) = v {
+                    m.push(*v);
                 }
             }
         }
-    }
-
-    /// Number of aggregates with at least one group value.
-    pub fn aggregate_count(&self) -> usize {
-        self.stats().len()
-    }
-
-    /// The incremental min/max statistics of one aggregate, if present.
-    pub fn min_max(&self, id: AggregateId) -> Option<(f64, f64)> {
-        let stats = self.stats();
-        let m = stats.get(&id)?;
-        (m.count() > 0).then(|| (m.min(), m.max()))
-    }
-
-    /// Scores every aggregate with `h` and returns the `k` best, using the
-    /// one-pass moments (no re-scan of group values).
-    pub fn top_k(
-        &self,
-        h: Interestingness,
-        k: usize,
-        labels: &[String],
-    ) -> Vec<ScoredAggregate> {
-        let stats = self.stats();
-        let mut scored: Vec<ScoredAggregate> = stats
-            .iter()
-            .map(|(&id, m)| ScoredAggregate {
-                id,
-                mda_label: labels.get(id.mda).cloned().unwrap_or_default(),
+        out.extend(moments.iter().enumerate().filter(|(_, m)| m.count() > 0).map(
+            |(mda, m)| Score {
+                id: AggregateId { node_mask, mda },
                 score: h.score_from_moments(m),
-                group_count: m.count() as usize,
-            })
-            .collect();
-        scored.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
-        scored.truncate(k);
-        scored
+                groups: m.count() as usize,
+            },
+        ));
     }
-}
-
-/// Convenience: score a finished result directly and return the top-k.
-pub fn top_k_of_result(
-    result: &CubeResult,
-    h: Interestingness,
-    k: usize,
-) -> Vec<ScoredAggregate> {
-    let arm = AggregateResultManager::new();
-    arm.ingest(result);
-    arm.top_k(h, k, &result.mda_labels)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::NodeResult;
+    use crate::result::{NodeResult, NULL_CODE};
 
     fn result_with_two_aggregates() -> CubeResult {
         let mut r = CubeResult::new(vec!["count(*)".into(), "sum(x)".into()]);
@@ -148,60 +91,68 @@ mod tests {
     }
 
     #[test]
-    fn ranks_outlier_aggregate_first() {
-        let r = result_with_two_aggregates();
-        let top = top_k_of_result(&r, Interestingness::Variance, 2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].mda_label, "sum(x)");
-        assert!(top[0].score > top[1].score);
-        assert_eq!(top[1].score, 0.0); // uniform counts
+    fn outlier_aggregate_outscores_uniform_one() {
+        let scores = score(&result_with_two_aggregates(), Interestingness::Variance);
+        assert_eq!(scores.len(), 2);
+        let (count, sum) = (&scores[0], &scores[1]);
+        assert_eq!(count.id, AggregateId { node_mask: 0b1, mda: 0 });
+        assert_eq!(sum.id, AggregateId { node_mask: 0b1, mda: 1 });
+        assert!(sum.score > count.score);
+        assert_eq!(count.score, 0.0); // uniform counts
+        assert_eq!((count.groups, sum.groups), (3, 3));
     }
 
     #[test]
-    fn k_truncates() {
-        let r = result_with_two_aggregates();
-        let top = top_k_of_result(&r, Interestingness::Variance, 1);
-        assert_eq!(top.len(), 1);
+    fn mda_without_values_yields_no_score() {
+        let mut r = CubeResult::new(vec!["count(*)".into(), "sum(x)".into()]);
+        let mut node = NodeResult::new(0b1);
+        node.groups.insert(vec![0], vec![Some(1.0), None]);
+        node.groups.insert(vec![1], vec![Some(2.0), None]);
+        r.nodes.insert(0b1, node);
+        let scores = score(&r, Interestingness::Variance);
+        assert_eq!(scores.len(), 1);
+        assert_eq!(scores[0].id, AggregateId { node_mask: 0b1, mda: 0 });
     }
 
     #[test]
-    fn incremental_push_equals_ingest() {
-        let r = result_with_two_aggregates();
-        let batch = AggregateResultManager::new();
-        batch.ingest(&r);
-        let inc = AggregateResultManager::new();
-        let id = AggregateId { node_mask: 0b1, mda: 1 };
-        for v in [10.0, 11.0, 500.0] {
-            inc.push(id, v);
+    fn groups_count_only_visible_valued_groups() {
+        let mut r = CubeResult::new(vec!["sum(x)".into()]);
+        let mut node = NodeResult::new(0b11);
+        node.groups.insert(vec![0, 0], vec![Some(1.0)]);
+        node.groups.insert(vec![0, 1], vec![Some(2.0)]);
+        node.groups.insert(vec![1, 1], vec![None]);
+        node.groups.insert(vec![NULL_CODE, 1], vec![Some(900.0)]);
+        node.groups.insert(vec![1, NULL_CODE], vec![Some(-900.0)]);
+        r.nodes.insert(0b11, node);
+        let scores = score(&r, Interestingness::Variance);
+        assert_eq!(scores.len(), 1);
+        assert_eq!(scores[0].groups, 2);
+        assert_eq!(scores[0].score, Interestingness::Variance.score(&[1.0, 2.0]));
+    }
+
+    #[test]
+    fn fold_order_is_key_order_not_insertion_order() {
+        // Values whose f64 sums depend on the order they are added in.
+        let groups: Vec<(Vec<u32>, f64)> = (0..64u32)
+            .map(|i| (vec![i], 1e16 / f64::from(i + 1) + 0.1 * f64::from(i)))
+            .collect();
+        let build = |reversed: bool| {
+            let mut r = CubeResult::new(vec!["sum(x)".into()]);
+            let mut node = NodeResult::new(0b1);
+            let order: Vec<_> =
+                if reversed { groups.iter().rev().collect() } else { groups.iter().collect() };
+            for (key, v) in order {
+                node.groups.insert(key.clone(), vec![Some(*v)]);
+            }
+            r.nodes.insert(0b1, node);
+            r
+        };
+        let in_key_order: Vec<f64> = groups.iter().map(|&(_, v)| v).collect();
+        for h in Interestingness::ALL {
+            let (a, b) = (score(&build(false), h), score(&build(true), h));
+            assert_eq!(a.len(), 1);
+            assert_eq!(a[0].score.to_bits(), b[0].score.to_bits(), "{h:?}");
+            assert_eq!(a[0].score.to_bits(), h.score(&in_key_order).to_bits(), "{h:?}");
         }
-        let a = batch.top_k(Interestingness::Variance, 1, &r.mda_labels);
-        let b = inc.top_k(Interestingness::Variance, 1, &r.mda_labels);
-        assert_eq!(a[0].id, b[0].id);
-        assert!((a[0].score - b[0].score).abs() < 1e-9);
-    }
-
-    #[test]
-    fn min_max_statistics_maintained() {
-        let r = result_with_two_aggregates();
-        let arm = AggregateResultManager::new();
-        arm.ingest(&r);
-        let id = AggregateId { node_mask: 0b1, mda: 1 };
-        assert_eq!(arm.min_max(id), Some((10.0, 500.0)));
-        assert_eq!(arm.min_max(AggregateId { node_mask: 0b11, mda: 0 }), None);
-        assert_eq!(arm.aggregate_count(), 2);
-    }
-
-    #[test]
-    fn deterministic_tie_break() {
-        let mut r = CubeResult::new(vec!["count(*)".into()]);
-        for mask in [0b1u32, 0b10] {
-            let mut node = NodeResult::new(mask);
-            node.groups.insert(vec![0], vec![Some(1.0)]);
-            node.groups.insert(vec![1], vec![Some(5.0)]);
-            r.nodes.insert(mask, node);
-        }
-        let top = top_k_of_result(&r, Interestingness::Variance, 2);
-        // Equal scores: break ties by aggregate id.
-        assert!(top[0].id < top[1].id);
     }
 }

@@ -448,11 +448,17 @@ mod tests {
         );
         let opts = MvdCubeOptions::default();
         let full = mvd_cube(&spec, &opts);
-        let top_full = crate::arm::top_k_of_result(&full, Interestingness::Variance, 3);
+        let top3 = |result: &crate::CubeResult| {
+            let mut scores = crate::arm::score(result, Interestingness::Variance);
+            scores.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
+            scores.truncate(3);
+            scores
+        };
+        let top_full = top3(&full);
 
         let config = EarlyStopConfig { k: 3, ..Default::default() };
         let (pruned_result, _) = mvd_cube_with_earlystop(&spec, &opts, &config);
-        let top_es = crate::arm::top_k_of_result(&pruned_result, Interestingness::Variance, 3);
+        let top_es = top3(&pruned_result);
 
         // Accuracy metric |T ∩ T_es| / |T| (Section 6.4) — here the signal
         // is so strong that accuracy must be 100%.

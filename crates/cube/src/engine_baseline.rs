@@ -5,7 +5,7 @@
 //! triple-nested `HashMap<node, HashMap<region, HashMap<cell, Bitmap>>>`
 //! (hashing on every cell touch), parent cells are *cloned* into every MMST
 //! child, and measure computation walks the per-fact pre-aggregates one
-//! fact at a time. The optimized engine in [`crate::engine`] replaces all
+//! fact at a time. The optimized engine in `crate::engine` replaces all
 //! three; `BENCH_engine.json` (see `spade-bench`'s `bench_engine` binary)
 //! tracks the speedup of the new path against this one, and the
 //! property tests use it as a second reference implementation.

@@ -3,7 +3,7 @@
 //! This crate contains the algorithmic heart of the paper:
 //!
 //! * [`lattice`] — the `2^N`-node dimension lattice and the Minimum Memory
-//!   Spanning Tree (MMST) of ArrayCube [49], with the classical memory
+//!   Spanning Tree (MMST) of ArrayCube \[49\], with the classical memory
 //!   formula (Section 4.1);
 //! * [`translate`] — Data Translation: laying the CFS out as a partitioned
 //!   array of cells, each holding the set of facts (Section 4.3), with the
@@ -20,8 +20,8 @@
 //!   (grouping-sets via symmetric rollup-chain decomposition over the
 //!   flattened join result), in its `count(*)` (PGCube\*) and
 //!   `count(distinct)` (PGCube^d) variants (Section 6, baselines);
-//! * [`arm`] — the Aggregate Result Manager: stores per-MDA group values,
-//!   incrementally maintains statistics, and ranks MDAs by interestingness
+//! * [`arm`] — the Aggregate Result Manager: scores every MDA of a result
+//!   by interestingness in one key-ordered pass over each node's groups
 //!   (Section 3, Steps 4–5);
 //! * [`earlystop`] — the early-stop pruning loop over the stratified samples
 //!   (Section 5), wired into MVDCube;
@@ -41,7 +41,7 @@ pub mod result;
 pub mod spec;
 pub mod translate;
 
-pub use arm::AggregateResultManager;
+pub use arm::{score, AggregateId, Score};
 pub use arraycube::array_cube;
 pub use compare::{compare_results, ComparisonReport};
 pub use earlystop::{EarlyStopConfig, EarlyStopOutcome};

@@ -7,7 +7,7 @@
 //! * [`synthetic`] — the Section 6.5 benchmark, faithfully parameterized:
 //!   `|CFS|` facts, `N` dimensions with bounded distinct values, `M` numeric
 //!   measures, value assignment controlled by a sparsity coefficient
-//!   `s ∈ [0,1]` (as in [1]), single-valued by default ("To ensure PGCube
+//!   `s ∈ [0,1]` (as in \[1\]), single-valued by default ("To ensure PGCube
 //!   correctness, each fact has only one value for each dimension") with an
 //!   optional multi-valued extension for the error experiments;
 //! * [`realistic`] — six *simulated* graphs whose structural profile

@@ -1,7 +1,7 @@
 //! Simulated versions of the six real graphs of Table 2.
 //!
-//! The real dumps (Airline [24], CEOs [37], DBLP [21], Foodista [18],
-//! NASA [17], Nobel [12]) are not reachable offline, so each generator
+//! The real dumps (Airline \[24\], CEOs \[37\], DBLP \[21\], Foodista \[18\],
+//! NASA \[17\], Nobel \[12\]) are not reachable offline, so each generator
 //! reproduces the *structural profile* the paper reports and exploits:
 //!
 //! | graph    | what drives the experiments                                   |

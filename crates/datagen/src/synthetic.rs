@@ -6,11 +6,11 @@
 //! D_i takes at most 100 values … We denote each graph by
 //! |D₁|:|D₂|:…:|D_N|, the maximum number of distinct values along each
 //! dimension. To obtain realistic distributions of the facts in this
-//! multidimensional space, we randomly assign dimension values as in [1],
+//! multidimensional space, we randomly assign dimension values as in \[1\],
 //! controlled by a sparsity parameter s ∈ [0, 1]. To ensure PGCube
 //! correctness, each fact has only one value for each dimension."
 //!
-//! Sparsity semantics (after Agarwal et al. [1] / Zhao et al. [49]): `s` is
+//! Sparsity semantics (after Agarwal et al. \[1\] / Zhao et al. \[49\]): `s` is
 //! the target fraction of the full dimension cross-product that is occupied;
 //! facts are placed uniformly over a sub-grid spanning `⌈|D_i|·s^{1/N}⌉`
 //! values per dimension, so the occupied cell space is ≈ `s · Π|D_i|`.

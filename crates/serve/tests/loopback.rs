@@ -484,7 +484,13 @@ fn profile_span_tree_shape_is_thread_invariant() {
     }
     // The tree really descends through the pipeline into the engine.
     let shape = &shapes[0].1;
-    for stage in ["offline_analysis;", "cfs_selection(", "evaluation(", "lattice(", "topk;"] {
+    for stage in [
+        "offline_analysis;",
+        "cfs_selection(",
+        "evaluation(",
+        "lattice(",
+        "topk(score;rank;materialize;);",
+    ] {
         assert!(shape.contains(stage), "missing {stage} in {shape}");
     }
 

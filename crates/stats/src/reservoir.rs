@@ -6,7 +6,7 @@
 //! also the reservoir, and either put the fact in or not with some
 //! probability. If the reservoir is full, we discard one of the previously
 //! inserted facts. This strategy is known as reservoir sampling and
-//! guarantees a choice of a simple random sample [44]."
+//! guarantees a choice of a simple random sample \[44\]."
 
 use rand::Rng;
 

@@ -14,10 +14,6 @@
 //! arithmetic over the insertion sequence, a serial request sequence
 //! produces bit-identical profile state at any evaluation thread count —
 //! the property the serve-layer determinism suite pins.
-//!
-//! With the `noop` cargo feature every record path returns immediately and
-//! the ring holds no slots; snapshots render empty. This is the baseline
-//! for the `bench_serve` overhead gate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -461,7 +457,7 @@ impl Ledger {
     /// names are sorted internally; unknown graphs still land in the ring
     /// and the overall profile.
     pub fn new(capacity: usize, graphs: &[String]) -> Self {
-        let cap = if cfg!(feature = "noop") { 0 } else { capacity.max(1) };
+        let cap = capacity.max(1);
         let mut names: Vec<String> = graphs.to_vec();
         names.sort();
         names.dedup();
@@ -474,7 +470,7 @@ impl Ledger {
         }
     }
 
-    /// Ring capacity (0 under the `noop` feature).
+    /// Ring capacity (at least 1).
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
@@ -489,9 +485,6 @@ impl Ledger {
     /// cost profiles and the q-error scorecard; everything lands in the
     /// ring.
     pub fn record(&self, rec: LedgerRecord) {
-        if cfg!(feature = "noop") {
-            return;
-        }
         if rec.class == ResponseClass::Ok && rec.cache != CacheOutcome::Hit {
             if let Ok(idx) =
                 self.profiles.binary_search_by(|(name, _)| name.as_str().cmp(&rec.graph))
@@ -541,7 +534,7 @@ impl Ledger {
     }
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

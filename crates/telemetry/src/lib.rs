@@ -27,10 +27,6 @@
 //! present, histogram buckets monotone, `+Inf` bucket equals `_count`); it
 //! backs the unit tests, the serve loopback tests, and the `promcheck`
 //! binary CI pipes a live `/metrics` scrape through.
-//!
-//! With the `noop` cargo feature every record path compiles to an inlined
-//! no-op while the API (and render output structure) stays intact — the
-//! baseline build for overhead benchmarks.
 
 pub mod conformance;
 pub mod ledger;

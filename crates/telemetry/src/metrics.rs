@@ -44,11 +44,6 @@ impl Counter {
     /// Adds `v`.
     #[inline]
     pub fn add(&self, v: u64) {
-        #[cfg(feature = "noop")]
-        {
-            let _ = v;
-        }
-        #[cfg(not(feature = "noop"))]
         self.0.fetch_add(v, Ordering::Relaxed);
     }
 
@@ -138,26 +133,19 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn observe(&self, v: f64) {
-        #[cfg(feature = "noop")]
-        {
-            let _ = v;
-        }
-        #[cfg(not(feature = "noop"))]
-        {
-            let idx = self.0.bounds.partition_point(|b| *b < v);
-            self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-            let mut cur = self.0.sum_bits.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + v).to_bits();
-                match self.0.sum_bits.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
+        let idx = self.0.bounds.partition_point(|b| *b < v);
+        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        let mut cur = self.0.sum_bits.load(Ordering::Relaxed);
+        loop {
+            let next = (f64::from_bits(cur) + v).to_bits();
+            match self.0.sum_bits.compare_exchange_weak(
+                cur,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(seen) => cur = seen,
             }
         }
     }
@@ -401,7 +389,6 @@ fn fmt_f64(v: f64) -> String {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn unlabeled_counter_renders_bare_name_value_line() {
         let r = Registry::new();
@@ -412,7 +399,6 @@ mod tests {
         assert!(text.contains("# TYPE spade_serve_explore_total counter\n"));
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn labeled_series_share_one_family_block() {
         let r = Registry::new();
@@ -426,7 +412,6 @@ mod tests {
         assert!(text.contains("reqs{route=\"b\"} 2\n"));
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn histogram_buckets_are_cumulative_and_inf_equals_count() {
         let r = Registry::new();
@@ -444,7 +429,6 @@ mod tests {
         assert!((h.sum() - 6.05).abs() < 1e-9);
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn boundary_observation_lands_in_le_bucket() {
         let h = Histogram::detached(&[1.0]);

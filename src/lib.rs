@@ -36,7 +36,7 @@
 //! | [`storage`] | CFS tables, attribute columns, pre-aggregated measures |
 //! | [`bitmap`] | Roaring-style bitmaps (cube cells, tidsets, samples) |
 //! | [`stats`] | interestingness functions, Delta-Method CIs, sampling |
-//! | [`cube`] | MVDCube, ArrayCube and PGCube baselines, lattices/MMST, ARM |
+//! | [`cube`] | MVDCube, ArrayCube and PGCube baselines, lattices/MMST, one-pass ARM scoring |
 //! | [`core`] | the Spade pipeline: derivations, CFS selection, enumeration, evaluation, top-k |
 //! | [`store`] | zero-copy single-file snapshots of the offline state |
 //! | [`datagen`] | synthetic benchmark and simulated real-world graphs |
