@@ -32,7 +32,7 @@ use spade_bitmap::Bitmap;
 use spade_core::json::JsonWriter;
 use spade_cube::engine_baseline::run_engine_baseline;
 use spade_cube::mvdcube::{mvd_cube_pruned, prepare, MvdCubeOptions};
-use spade_cube::{CubeResult, CubeSpec, Exec, MeasureSpec};
+use spade_cube::{CubeSpec, Exec, MeasureSpec};
 use spade_datagen::corpus::{SyntheticCase, SYNTHETIC_CASES};
 use spade_datagen::synthetic::generate_columns;
 use spade_datagen::ColumnSet;
@@ -72,17 +72,6 @@ impl Outcome {
     }
 }
 
-fn check_agreement(a: &CubeResult, b: &CubeResult, case: &str) {
-    assert_eq!(a.nodes.len(), b.nodes.len(), "{case}: node count");
-    for (mask, node) in &a.nodes {
-        let other = &b.nodes[mask];
-        assert_eq!(node.groups.len(), other.groups.len(), "{case}: node {mask:b}");
-        for (key, values) in &node.groups {
-            assert_eq!(&other.groups[key], values, "{case}: node {mask:b} group {key:?}");
-        }
-    }
-}
-
 fn run_case(
     case: &SyntheticCase,
     columns: &ColumnSet,
@@ -116,7 +105,7 @@ fn run_case(
     // Warm-up + agreement check (not timed).
     let reference = run_engine_baseline(&spec, &lattice, &translation, None);
     let optimized = evaluate(&serial);
-    check_agreement(&optimized, &reference, case.name);
+    assert!(optimized == reference, "{}: optimized and baseline results differ", case.name);
     let total_groups = optimized.total_groups();
 
     let mut baseline_secs = f64::INFINITY;
@@ -150,7 +139,7 @@ fn run_case(
         }
         let exec = Exec::new(threads);
         let r = evaluate(&exec);
-        check_agreement(&r, &optimized, &format!("{} @ {threads} threads", case.name));
+        assert!(r == optimized, "{} @ {threads} threads: results differ", case.name);
         std::hint::black_box(r);
         let mut secs = f64::INFINITY;
         for _ in 0..repeats {

@@ -523,11 +523,18 @@ impl Spade {
         // —— Step 2: online attribute analysis (parallel per CFS) ——
         let span = exec.span.span("attribute_analysis");
         let graph_ref: &Graph = graph;
-        let analyses: Vec<CfsAnalysis> =
-            spade_parallel::try_map(cfs_list.iter().collect(), exec.threads, |cfs| {
+        let analyses: Vec<CfsAnalysis> = spade_parallel::try_map(
+            cfs_list.iter().enumerate().collect(),
+            exec.threads,
+            |(i, cfs)| {
                 exec.check()?;
-                Ok(analyze_cfs(graph_ref, cfs, &derived, config))
-            })?;
+                let cfs_span = span.ctx().span_at("cfs", i as u64);
+                let analysis = analyze_cfs(graph_ref, cfs, &derived, config);
+                cfs_span.attr("attributes", analysis.attributes.len() as u64);
+                cfs_span.attr("facts", analysis.n_facts() as u64);
+                Ok(analysis)
+            },
+        )?;
         span.attr("cfs", analyses.len() as u64);
         report.timings.attribute_analysis = span.finish();
 
@@ -651,6 +658,10 @@ impl Spade {
             })
             .collect();
         materialize_span.finish();
+        // Free the request's intermediates before the span closes: the span
+        // tree must cover the request, and freeing every lattice result
+        // would otherwise run after the last span, unaccounted.
+        drop((evaluations, lattice_specs, analyses, cfs_list));
         report.timings.topk = span.finish();
         Ok(report)
     }

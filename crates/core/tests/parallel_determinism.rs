@@ -12,33 +12,17 @@ use spade_core::{Budget, Exec, Spade, SpadeConfig};
 use spade_cube::CubeResult;
 use spade_datagen::{realistic, RealisticConfig};
 
-/// Exact (bit-level) equality of two cube results: same nodes, same groups,
-/// same per-MDA values down to the f64 bit pattern.
+/// Exact (bit-level) equality of two cube results: the same labels, nodes
+/// and group keys, read as two key-ordered streams, with the same per-MDA
+/// values down to the f64 bit pattern.
 fn assert_results_identical(a: &CubeResult, b: &CubeResult, context: &str) {
+    let bits = |v: &[Option<f64>]| v.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
     assert_eq!(a.mda_labels, b.mda_labels, "{context}: MDA labels");
-    let mut masks: Vec<u32> = a.nodes.keys().copied().collect();
-    masks.sort_unstable();
-    let mut other: Vec<u32> = b.nodes.keys().copied().collect();
-    other.sort_unstable();
-    assert_eq!(masks, other, "{context}: node sets");
-    for mask in masks {
-        let na = &a.nodes[&mask];
-        let nb = &b.nodes[&mask];
-        assert_eq!(na.groups.len(), nb.groups.len(), "{context}: node {mask:b} group count");
-        for (key, va) in &na.groups {
-            let vb = nb
-                .groups
-                .get(key)
-                .unwrap_or_else(|| panic!("{context}: node {mask:b} missing group {key:?}"));
-            assert_eq!(va.len(), vb.len());
-            for (i, (x, y)) in va.iter().zip(vb).enumerate() {
-                let same = match (x, y) {
-                    (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
-                    (None, None) => true,
-                    _ => false,
-                };
-                assert!(same, "{context}: node {mask:b} group {key:?} mda {i}: {x:?} vs {y:?}");
-            }
+    assert!(a.nodes.keys().eq(b.nodes.keys()), "{context}: node sets");
+    for (na, nb) in a.nodes.values().zip(b.nodes.values()) {
+        assert_eq!(na.group_count(), nb.group_count(), "{context}: node {:b}", na.mask);
+        for ((ka, va), (kb, vb)) in na.groups().zip(nb.groups()) {
+            assert_eq!((ka, bits(va)), (kb, bits(vb)), "{context}: node {:b}", na.mask);
         }
     }
 }

@@ -25,8 +25,9 @@ const ONLINE_STAGES: [&str; 6] = [
 ];
 
 /// Distinct span paths of a plain (no early-stop) traced run.
-const SPAN_PATHS: [&str; 17] = [
+const SPAN_PATHS: [&str; 18] = [
     "attribute_analysis",
+    "attribute_analysis/cfs",
     "cfs_selection",
     "cfs_selection/summary_based",
     "cfs_selection/type_based",

@@ -6,16 +6,17 @@
 //! their results."
 //!
 //! [`score`] is that pass over one finished [`CubeResult`]. For each lattice
-//! node it takes the *visible* groups (per Section 2, CFs missing a
-//! dimension do not contribute to the result), orders them by key, and
-//! folds every group's value for MDA `i` into the `i`-th [`RunningMoments`]
-//! of a per-node vector. Each MDA that received at least one value yields a
-//! [`Score`]. Ranking the scores, and attaching labels to the winners, is
-//! the caller's job.
+//! node, in mask order, it folds the value for MDA `i` of every *visible*
+//! group (per Section 2, CFs missing a dimension do not contribute to the
+//! result) into the `i`-th [`RunningMoments`] of a per-node vector, reading
+//! the groups in the order the node stores them. Each MDA that received at
+//! least one value yields a [`Score`]. Ranking the scores, and attaching
+//! labels to the winners, is the caller's job.
 //!
-//! The key order is the canonical fold order: floating-point addition is not
-//! associative, so folding in a fixed order makes every score, and hence
-//! every tie-break in a top-k built on it, bit-reproducible.
+//! A node stores its groups in key order (see [`crate::result`]), and that
+//! is the canonical fold order: floating-point addition is not associative,
+//! so folding in a fixed order makes every score, and hence every tie-break
+//! in a top-k built on it, bit-reproducible.
 
 use crate::result::CubeResult;
 use spade_stats::{Interestingness, RunningMoments};
@@ -46,18 +47,12 @@ pub struct Score {
 /// Returns one [`Score`] per (node, MDA) with at least one visible value,
 /// ordered by [`AggregateId`].
 pub fn score(result: &CubeResult, h: Interestingness) -> Vec<Score> {
-    let mut nodes: Vec<_> = result.nodes.iter().collect();
-    nodes.sort_unstable_by_key(|&(&mask, _)| mask);
     let mut moments = vec![RunningMoments::new(); result.mda_labels.len()];
-    let mut groups = Vec::new();
     let mut out = Vec::new();
-    for (&node_mask, node) in nodes {
-        groups.clear();
-        groups.extend(node.visible_groups());
-        groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    for (&node_mask, node) in &result.nodes {
         moments.fill(RunningMoments::new());
-        for (_, values) in &groups {
-            for (m, v) in moments.iter_mut().zip(values.iter()) {
+        for (_, values) in node.visible_groups() {
+            for (m, v) in moments.iter_mut().zip(values) {
                 if let Some(v) = v {
                     m.push(*v);
                 }
@@ -77,17 +72,19 @@ pub fn score(result: &CubeResult, h: Interestingness) -> Vec<Score> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::{NodeResult, NULL_CODE};
+    use crate::result::NULL_CODE;
 
     fn result_with_two_aggregates() -> CubeResult {
-        let mut r = CubeResult::new(vec!["count(*)".into(), "sum(x)".into()]);
-        let mut flat = NodeResult::new(0b1);
         // count: uniform (uninteresting); sum: one outlier (interesting).
-        flat.groups.insert(vec![0], vec![Some(1.0), Some(10.0)]);
-        flat.groups.insert(vec![1], vec![Some(1.0), Some(11.0)]);
-        flat.groups.insert(vec![2], vec![Some(1.0), Some(500.0)]);
-        r.nodes.insert(0b1, flat);
-        r
+        CubeResult::from_groups(
+            vec!["count(*)".into(), "sum(x)".into()],
+            0b1,
+            vec![
+                (vec![0], vec![Some(1.0), Some(10.0)]),
+                (vec![1], vec![Some(1.0), Some(11.0)]),
+                (vec![2], vec![Some(1.0), Some(500.0)]),
+            ],
+        )
     }
 
     #[test]
@@ -104,11 +101,11 @@ mod tests {
 
     #[test]
     fn mda_without_values_yields_no_score() {
-        let mut r = CubeResult::new(vec!["count(*)".into(), "sum(x)".into()]);
-        let mut node = NodeResult::new(0b1);
-        node.groups.insert(vec![0], vec![Some(1.0), None]);
-        node.groups.insert(vec![1], vec![Some(2.0), None]);
-        r.nodes.insert(0b1, node);
+        let r = CubeResult::from_groups(
+            vec!["count(*)".into(), "sum(x)".into()],
+            0b1,
+            vec![(vec![0], vec![Some(1.0), None]), (vec![1], vec![Some(2.0), None])],
+        );
         let scores = score(&r, Interestingness::Variance);
         assert_eq!(scores.len(), 1);
         assert_eq!(scores[0].id, AggregateId { node_mask: 0b1, mda: 0 });
@@ -116,14 +113,17 @@ mod tests {
 
     #[test]
     fn groups_count_only_visible_valued_groups() {
-        let mut r = CubeResult::new(vec!["sum(x)".into()]);
-        let mut node = NodeResult::new(0b11);
-        node.groups.insert(vec![0, 0], vec![Some(1.0)]);
-        node.groups.insert(vec![0, 1], vec![Some(2.0)]);
-        node.groups.insert(vec![1, 1], vec![None]);
-        node.groups.insert(vec![NULL_CODE, 1], vec![Some(900.0)]);
-        node.groups.insert(vec![1, NULL_CODE], vec![Some(-900.0)]);
-        r.nodes.insert(0b11, node);
+        let r = CubeResult::from_groups(
+            vec!["sum(x)".into()],
+            0b11,
+            vec![
+                (vec![0, 0], vec![Some(1.0)]),
+                (vec![0, 1], vec![Some(2.0)]),
+                (vec![1, 1], vec![None]),
+                (vec![NULL_CODE, 1], vec![Some(900.0)]),
+                (vec![1, NULL_CODE], vec![Some(-900.0)]),
+            ],
+        );
         let scores = score(&r, Interestingness::Variance);
         assert_eq!(scores.len(), 1);
         assert_eq!(scores[0].groups, 2);
@@ -133,26 +133,24 @@ mod tests {
     #[test]
     fn fold_order_is_key_order_not_insertion_order() {
         // Values whose f64 sums depend on the order they are added in.
-        let groups: Vec<(Vec<u32>, f64)> = (0..64u32)
-            .map(|i| (vec![i], 1e16 / f64::from(i + 1) + 0.1 * f64::from(i)))
+        let groups: Vec<(Vec<u32>, Vec<Option<f64>>)> = (0..64u32)
+            .map(|i| (vec![i], vec![Some(1e16 / f64::from(i + 1) + 0.1 * f64::from(i))]))
             .collect();
         let build = |reversed: bool| {
-            let mut r = CubeResult::new(vec!["sum(x)".into()]);
-            let mut node = NodeResult::new(0b1);
-            let order: Vec<_> =
-                if reversed { groups.iter().rev().collect() } else { groups.iter().collect() };
-            for (key, v) in order {
-                node.groups.insert(key.clone(), vec![Some(*v)]);
+            let mut order = groups.clone();
+            if reversed {
+                order.reverse();
             }
-            r.nodes.insert(0b1, node);
-            r
+            CubeResult::from_groups(vec!["sum(x)".into()], 0b1, order)
         };
-        let in_key_order: Vec<f64> = groups.iter().map(|&(_, v)| v).collect();
+        let in_key_order: Vec<f64> = groups.iter().map(|(_, v)| v[0].unwrap()).collect();
         for h in Interestingness::ALL {
             let (a, b) = (score(&build(false), h), score(&build(true), h));
             assert_eq!(a.len(), 1);
             assert_eq!(a[0].score.to_bits(), b[0].score.to_bits(), "{h:?}");
             assert_eq!(a[0].score.to_bits(), h.score(&in_key_order).to_bits(), "{h:?}");
+            let node = &build(true).nodes[&0b1];
+            assert_eq!(h.score(&node.mda_values(0)).to_bits(), a[0].score.to_bits(), "{h:?}");
         }
     }
 }

@@ -82,9 +82,9 @@ pub fn compare_results(
         for mda in 0..n_mdas {
             let label = &correct.mda_labels[mda];
             let mut wrong = false;
-            for (key, correct_vals) in &correct_node.groups {
+            for (key, correct_vals) in correct_node.groups() {
                 let m = correct_vals[mda];
-                let p = baseline_node.and_then(|n| n.groups.get(key)).and_then(|v| v[mda]);
+                let p = baseline_node.and_then(|n| n.get(key)).and_then(|v| v[mda]);
                 match (m, p) {
                     (None, None) => {}
                     (Some(m), Some(p)) => {
@@ -106,8 +106,8 @@ pub fn compare_results(
             // Baseline groups that do not exist in the correct result also
             // falsify the aggregate (phantom groups).
             if let Some(bn) = baseline_node {
-                for (key, vals) in &bn.groups {
-                    if vals[mda].is_some() && !correct_node.groups.contains_key(key) {
+                for (key, vals) in bn.groups() {
+                    if vals[mda].is_some() && correct_node.get(key).is_none() {
                         wrong = true;
                     }
                 }

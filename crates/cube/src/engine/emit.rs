@@ -14,8 +14,8 @@
 //! 3. **Emit** — the merged cell lists are cut into weighted tasks
 //!    (boundaries depend only on cell counts), each task decodes its
 //!    cells' group keys and computes measures with a task-local scratch,
-//!    and a serial fold inserts the task outputs into the [`CubeResult`]
-//!    in task order.
+//!    and a serial fold appends the task outputs to the [`CubeResult`]'s
+//!    node columns in task order, which are then put in key order.
 //!
 //! Merging before emitting is what makes sharding invisible: a cell's
 //! measures are computed exactly once, from its fully merged payload, just
@@ -43,26 +43,26 @@ type EmitTask<'a, C> = (u32, u64, &'a [(u64, C)]);
 
 /// Emits one completed region's measures straight into `result` — the
 /// emit-at-flush path of a single-shard plan ([`super::shard::ShardSink`]),
-/// where no cross-shard merge is needed. `key_buf`/`scratch` are the
-/// cascade-lifetime reusable buffers.
-#[allow(clippy::too_many_arguments)]
+/// where no cross-shard merge is needed. `scratch` is the cascade-lifetime
+/// reusable buffer.
 pub(crate) fn emit_region_into<A: CubeAlgebra>(
     algebra: &A,
     plan: &LatticePlan<A>,
     mask: u32,
     region: u64,
     store: &RegionStore<A::Cell>,
-    key_buf: &mut Vec<u32>,
     scratch: &mut A::EmitScratch,
     result: &mut CubeResult,
 ) {
     let geom = &plan.geoms[&mask];
     let alive = &plan.alive[&mask];
     let emit_plan = &plan.plans[&mask];
-    let node = result.nodes.entry(mask).or_insert_with(|| NodeResult::new(mask));
+    let node = result.node_mut(mask);
     for (local, cell) in store.iter_cells() {
-        geom.decode_into(region, local, key_buf);
-        node.groups.insert(key_buf.clone(), algebra.emit(cell, alive, emit_plan, scratch));
+        node.push_group(|keys, values| {
+            geom.decode_into(region, local, keys);
+            algebra.emit(cell, alive, emit_plan, scratch, values);
+        });
     }
 }
 
@@ -132,24 +132,20 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
         let geom = &plan.geoms[&mask];
         let alive = &plan.alive[&mask];
         let emit_plan = &plan.plans[&mask];
-        let mut key_buf: Vec<u32> = Vec::new();
         let mut scratch = A::EmitScratch::default();
-        let groups: Vec<(Vec<u32>, Vec<Option<f64>>)> = cells
-            .iter()
-            .map(|(local, cell)| {
-                geom.decode_into(region, *local, &mut key_buf);
-                (key_buf.clone(), algebra.emit(cell, alive, emit_plan, &mut scratch))
-            })
-            .collect();
-        Ok((mask, groups))
+        let mut node = NodeResult::new(mask, alive.len());
+        for (local, cell) in cells {
+            node.push_group(|keys, values| {
+                geom.decode_into(region, *local, keys);
+                algebra.emit(cell, alive, emit_plan, &mut scratch, values);
+            });
+        }
+        Ok(node)
     })?;
 
     // —— serial fold, in task order ——
-    for (mask, groups) in outputs {
-        let node = result.nodes.entry(mask).or_insert_with(|| NodeResult::new(mask));
-        for (key, values) in groups {
-            node.groups.insert(key, values);
-        }
+    for node in outputs {
+        result.node_mut(node.mask).append(node);
     }
-    Ok(result)
+    Ok(result.finish())
 }

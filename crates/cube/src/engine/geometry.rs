@@ -80,11 +80,10 @@ impl NodeGeom {
     }
 
     /// Decodes a `(region, local cell)` pair into per-dim value codes,
-    /// writing into `out` (cleared first) to avoid per-cell allocation.
+    /// appending them to `out` (a node's key column).
     /// The internal null slot (last code of each domain) is remapped to
     /// [`crate::result::NULL_CODE`].
     pub(crate) fn decode_into(&self, region: u64, local: u64, out: &mut Vec<u32>) {
-        out.clear();
         for k in 0..self.dims.len() {
             let coord = (region / self.region_strides[k]) % self.n_chunks[k];
             let code = coord * self.chunk[k] + (local / self.local_strides[k]) % self.chunk[k];
@@ -192,12 +191,12 @@ mod tests {
         // Dims {0, 2} of a 3-dim lattice: domains [4, 5], chunks [2, 2].
         let lattice = Lattice::new(vec![4, 9, 5], vec![2, 3, 2]);
         let geom = geom_for(&lattice, 0b101);
-        let mut out = Vec::new();
         for a in 0..4u64 {
             for b in 0..5u64 {
                 let region =
                     (a / 2) * geom.region_strides[0] + (b / 2) * geom.region_strides[1];
                 let local = (a % 2) * geom.local_strides[0] + (b % 2) * geom.local_strides[1];
+                let mut out = Vec::new();
                 geom.decode_into(region, local, &mut out);
                 let expect = |c: u64, d: u64| {
                     if c == d - 1 {

@@ -129,7 +129,7 @@ pub(crate) trait CubeAlgebra: Sync {
     /// Prepares per-node emit state from the node's MDA liveness.
     fn plan_emit(&self, alive: &[bool]) -> Self::EmitPlan;
 
-    /// Computes the per-MDA values of a finished cell. `alive[i] == false`
+    /// Appends a finished cell's per-MDA values to `out`. `alive[i] == false`
     /// means MDA `i` was pruned by early-stop and must not be computed.
     fn emit(
         &self,
@@ -137,7 +137,8 @@ pub(crate) trait CubeAlgebra: Sync {
         alive: &[bool],
         plan: &Self::EmitPlan,
         scratch: &mut Self::EmitScratch,
-    ) -> Vec<Option<f64>>;
+        out: &mut Vec<Option<f64>>,
+    );
 }
 
 /// The read-only per-evaluation plan every shard and emit task shares:
@@ -270,7 +271,7 @@ pub(crate) fn run_engine<A: CubeAlgebra>(
         let mut result = result;
         let span = exec.span.span_at("shard", 0);
         shard::run_shard_emit(algebra, &plan, translation, chunks, &mut result, exec, &span)?;
-        return Ok(result);
+        return Ok(result.finish());
     }
     let indexed: Vec<(usize, Vec<shard::ShardChunk>)> =
         shards.into_iter().enumerate().collect();

@@ -121,7 +121,7 @@ pub(crate) enum ShardSink<'r, A: CubeAlgebra> {
     /// Multi-shard plan: park sorted partials for the cross-shard merge.
     Park(ShardPartials<A::Cell>),
     /// Single-shard plan: emit measures at flush and free the region.
-    Emit { result: &'r mut CubeResult, key_buf: Vec<u32>, scratch: A::EmitScratch },
+    Emit { result: &'r mut CubeResult, scratch: A::EmitScratch },
 }
 
 /// The shard-local cascade state.
@@ -192,8 +192,7 @@ pub(crate) fn run_shard_emit<A: CubeAlgebra>(
     span: &Span,
 ) -> Result<(), Cancelled> {
     annotate(span, translation, chunks);
-    let sink =
-        ShardSink::Emit { result, key_buf: Vec::new(), scratch: A::EmitScratch::default() };
+    let sink = ShardSink::Emit { result, scratch: A::EmitScratch::default() };
     cascade(algebra, plan, translation, chunks, sink, exec)?;
     Ok(())
 }
@@ -266,13 +265,12 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
         if emits {
             match &mut self.sink {
                 ShardSink::Park(_) => parks = true,
-                ShardSink::Emit { result, key_buf, scratch } => super::emit::emit_region_into(
+                ShardSink::Emit { result, scratch } => super::emit::emit_region_into(
                     self.algebra,
                     self.plan,
                     mask,
                     region,
                     &store,
-                    key_buf,
                     scratch,
                     result,
                 ),

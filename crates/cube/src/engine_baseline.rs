@@ -13,7 +13,7 @@
 //! Do not extend this module — it exists to stay *unchanged*.
 
 use crate::lattice::Lattice;
-use crate::result::{CubeResult, NodeResult};
+use crate::result::CubeResult;
 use crate::spec::{CubeSpec, MdaKind};
 use crate::translate::{strides_for, Translation};
 use spade_bitmap::Bitmap;
@@ -153,16 +153,14 @@ impl<'a, 'b> Engine<'a, 'b> {
     fn flush(&mut self, mask: u32, region: u64, cells: HashMap<u64, Bitmap>) {
         if self.alive[&mask].iter().any(|&a| a) {
             let geom = &self.geoms[&mask];
-            let mut emitted: Vec<(Vec<u32>, Vec<Option<f64>>)> =
-                Vec::with_capacity(cells.len());
+            let node = self.result.node_mut(mask);
             for (&cell_idx, cell) in &cells {
                 let key = geom.decode(cell_idx);
                 let values = emit_cell(self.spec, &self.mdas, cell, &self.alive[&mask]);
-                emitted.push((key, values));
-            }
-            let node = self.result.nodes.entry(mask).or_insert_with(|| NodeResult::new(mask));
-            for (key, values) in emitted {
-                node.groups.insert(key, values);
+                node.push_group(|k, v| {
+                    k.extend(key);
+                    v.extend(values);
+                });
             }
         }
 
@@ -306,7 +304,7 @@ pub fn run_engine_baseline(
             partition.coords.iter().zip(&region_strides).map(|(&c, &s)| c as u64 * s).sum();
         engine.flush(root, region, cells);
     }
-    engine.result
+    engine.result.finish()
 }
 
 /// Full-lattice MVDCube evaluation on the baseline engine.

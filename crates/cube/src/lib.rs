@@ -21,8 +21,8 @@
 //!   flattened join result), in its `count(*)` (PGCube\*) and
 //!   `count(distinct)` (PGCube^d) variants (Section 6, baselines);
 //! * [`arm`] — the Aggregate Result Manager: scores every MDA of a result
-//!   by interestingness in one key-ordered pass over each node's groups
-//!   (Section 3, Steps 4–5);
+//!   by interestingness in one pass over each node's groups, in the key
+//!   order the [`result`] stores them in (Section 3, Steps 4–5);
 //! * [`earlystop`] — the early-stop pruning loop over the stratified samples
 //!   (Section 5), wired into MVDCube;
 //! * [`compare`] — error measurement between a correct and a baseline result

@@ -136,7 +136,8 @@ impl<'a, 'b> CubeAlgebra for MvdAlgebra<'a, 'b> {
         alive: &[bool],
         plan: &MvdEmitPlan,
         scratch: &mut MvdEmitScratch,
-    ) -> Vec<Option<f64>> {
+        out: &mut Vec<Option<f64>>,
+    ) {
         // Measure computation is a batched bitmap-to-CSR join: the cell's
         // bitmap is decoded once (container-at-a-time) into a reused fact
         // buffer, then each needed measure's pre-aggregated
@@ -159,31 +160,27 @@ impl<'a, 'b> CubeAlgebra for MvdAlgebra<'a, 'b> {
             }
             scratch.facts.len() as u64
         };
-        self.mdas
-            .iter()
-            .zip(alive)
-            .map(|(mda, &is_alive)| {
-                if !is_alive {
-                    return None;
-                }
-                match mda.kind {
-                    MdaKind::FactCount => Some(facts as f64),
-                    MdaKind::Measure { measure, agg } => {
-                        let t = scratch.totals[measure];
-                        if t.count == 0 {
-                            return None;
-                        }
-                        Some(match agg {
-                            spade_storage::AggFn::Count => t.count as f64,
-                            spade_storage::AggFn::Sum => t.sum,
-                            spade_storage::AggFn::Avg => t.sum / t.count as f64,
-                            spade_storage::AggFn::Min => t.min,
-                            spade_storage::AggFn::Max => t.max,
-                        })
+        out.extend(self.mdas.iter().zip(alive).map(|(mda, &is_alive)| {
+            if !is_alive {
+                return None;
+            }
+            match mda.kind {
+                MdaKind::FactCount => Some(facts as f64),
+                MdaKind::Measure { measure, agg } => {
+                    let t = scratch.totals[measure];
+                    if t.count == 0 {
+                        return None;
                     }
+                    Some(match agg {
+                        spade_storage::AggFn::Count => t.count as f64,
+                        spade_storage::AggFn::Sum => t.sum,
+                        spade_storage::AggFn::Avg => t.sum / t.count as f64,
+                        spade_storage::AggFn::Min => t.min,
+                        spade_storage::AggFn::Max => t.max,
+                    })
                 }
-            })
-            .collect()
+            }
+        }));
     }
 }
 
@@ -323,7 +320,7 @@ mod tests {
         let result = example3_result();
         let root = result.node(0b111).unwrap();
         assert_eq!(root.group_count(), 11);
-        for values in root.groups.values() {
+        for (_, values) in root.groups() {
             assert_eq!(values[0], Some(1.0));
         }
     }
@@ -337,9 +334,7 @@ mod tests {
         let area_node = result.node(0b100).unwrap();
         // area labels sorted: Automotive(0), Diamond(1), Manufacturer(2),
         // Natural gas(3), null(4).
-        let counts: Vec<(u32, f64)> =
-            area_node.groups.iter().map(|(k, v)| (k[0], v[0].unwrap())).collect();
-        let get = |code: u32| counts.iter().find(|(c, _)| *c == code).map(|(_, v)| *v);
+        let get = |code: u32| area_node.get(&[code]).map(|v| v[0].unwrap());
         assert_eq!(get(0), Some(1.0)); // Automotive: Ghosn
         assert_eq!(get(1), Some(1.0)); // Diamond: Dos Santos
         assert_eq!(get(2), Some(2.0)); // Manufacturer: both — not 5!
@@ -356,9 +351,9 @@ mod tests {
         let result = example3_result();
         let gender_node = result.node(0b010).unwrap();
         // gender labels: Female(0); Ghosn's missing gender → null group.
-        assert_eq!(gender_node.groups[&vec![0]][0], Some(1.0));
-        assert_eq!(gender_node.groups[&vec![NULL_CODE]][0], Some(1.0));
-        assert_eq!(gender_node.visible_group_count(), 1);
+        assert_eq!(gender_node.get(&[0]).unwrap()[0], Some(1.0));
+        assert_eq!(gender_node.get(&[NULL_CODE]).unwrap()[0], Some(1.0));
+        assert_eq!(gender_node.visible_groups().count(), 1);
         assert_eq!(gender_node.mda_values(0), vec![1.0]);
     }
 
@@ -368,7 +363,7 @@ mod tests {
     fn variation1_sum_netweorth_by_area() {
         let result = example3_result();
         let area_node = result.node(0b100).unwrap();
-        let manufacturer = &area_node.groups[&vec![2]];
+        let manufacturer = area_node.get(&[2]).unwrap();
         assert_eq!(manufacturer[1], Some(2.8e9 + 1.2e8));
     }
 
@@ -378,7 +373,7 @@ mod tests {
     fn variation2_avg_age_by_area() {
         let result = example3_result();
         let area_node = result.node(0b100).unwrap();
-        let manufacturer = &area_node.groups[&vec![2]];
+        let manufacturer = area_node.get(&[2]).unwrap();
         assert_eq!(manufacturer[2], Some(56.5));
     }
 
@@ -388,7 +383,7 @@ mod tests {
         let result = example3_result();
         let total = result.node(0).unwrap();
         assert_eq!(total.group_count(), 1);
-        let values = &total.groups[&vec![]];
+        let values = total.get(&[]).unwrap();
         assert_eq!(values[0], Some(2.0));
         assert_eq!(values[1], Some(2.8e9 + 1.2e8));
         assert_eq!(values[2], Some(56.5));
@@ -411,10 +406,10 @@ mod tests {
         );
         let result = mvd_cube(&spec, &MvdCubeOptions::default());
         let node = result.node(0b1).unwrap();
-        assert_eq!(node.groups[&vec![0]][1], Some(2.8e9));
+        assert_eq!(node.get(&[0]).unwrap()[1], Some(2.8e9));
         // The visible result is exactly {(Angola, $2.8B)}.
         assert_eq!(node.mda_values(1), vec![2.8e9]);
-        assert_eq!(node.visible_group_count(), 1);
+        assert_eq!(node.visible_groups().count(), 1);
     }
 
     /// Chunked evaluation must agree with the single-partition evaluation
@@ -434,17 +429,7 @@ mod tests {
                 &spec,
                 &MvdCubeOptions { chunk_size: Some(chunk), ..Default::default() },
             );
-            for (mask, node) in &whole.nodes {
-                let other = chunked.node(*mask).unwrap();
-                assert_eq!(
-                    node.groups.len(),
-                    other.groups.len(),
-                    "mask {mask:b} chunk {chunk}"
-                );
-                for (key, vals) in &node.groups {
-                    assert_eq!(&other.groups[key], vals, "mask {mask:b} chunk {chunk}");
-                }
-            }
+            assert_eq!(chunked, whole, "chunk {chunk}");
         }
     }
 }

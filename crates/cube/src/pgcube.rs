@@ -207,9 +207,10 @@ impl GroupAccum {
         }
     }
 
-    fn emit(&self, mdas: &[crate::spec::Mda], variant: PgCubeVariant) -> Vec<Option<f64>> {
-        mdas.iter()
-            .map(|mda| match mda.kind {
+    fn emit(&self, mdas: &[crate::spec::Mda], variant: PgCubeVariant, node: &mut NodeResult) {
+        node.push_group(|keys, values| {
+            keys.extend_from_slice(&self.key);
+            values.extend(mdas.iter().map(|mda| match mda.kind {
                 MdaKind::FactCount => Some(match variant {
                     PgCubeVariant::Star => self.rows,
                     PgCubeVariant::Distinct => self.distinct_facts.len() as f64,
@@ -229,8 +230,8 @@ impl GroupAccum {
                         (AggFn::Max, _) => hi,
                     })
                 }
-            })
-            .collect()
+            }))
+        });
     }
 }
 
@@ -250,7 +251,7 @@ pub fn pg_cube(
     let labels = mdas.iter().map(|m| m.label.clone()).collect();
     let mut result = CubeResult::new(labels);
     for mask in 0..=((1u32 << spec.n_dims()) - 1) {
-        result.nodes.insert(mask, NodeResult::new(mask));
+        result.node_mut(mask);
     }
 
     let n_measures = spec.measures.len();
@@ -310,9 +311,7 @@ pub fn pg_cube(
                 if prev.is_none() || plen > changed_from {
                     // Close the previous group at this level, if any.
                     if accums[li].started {
-                        let values = accums[li].emit(&mdas, variant);
-                        let key = std::mem::take(&mut accums[li].key);
-                        result.nodes.get_mut(&mask).unwrap().groups.insert(key, values);
+                        accums[li].emit(&mdas, variant, result.node_mut(mask));
                     }
                     accums[li].reset(key_for(row, mask));
                 }
@@ -324,14 +323,12 @@ pub fn pg_cube(
         if prev.is_some() {
             for (li, &(mask, _)) in levels.iter().enumerate() {
                 if accums[li].started {
-                    let values = accums[li].emit(&mdas, variant);
-                    let key = std::mem::take(&mut accums[li].key);
-                    result.nodes.get_mut(&mask).unwrap().groups.insert(key, values);
+                    accums[li].emit(&mdas, variant, result.node_mut(mask));
                 }
             }
         }
     }
-    result
+    result.finish()
 }
 
 #[cfg(test)]
@@ -383,9 +380,9 @@ mod tests {
         let spec = example3_spec(&data);
         let r = pg_cube(&spec, PgCubeVariant::Star, &MvdCubeOptions::default());
         let area = r.node(0b100).unwrap();
-        assert_eq!(area.groups[&vec![2]][0], Some(5.0)); // Manufacturer
+        assert_eq!(area.get(&[2]).unwrap()[0], Some(5.0)); // Manufacturer
         let gender = r.node(0b010).unwrap();
-        assert_eq!(gender.groups[&vec![0]][0], Some(3.0)); // Female
+        assert_eq!(gender.get(&[0]).unwrap()[0], Some(3.0)); // Female
     }
 
     /// PGCube^d fixes Example 3's counts via count(distinct CF)…
@@ -395,9 +392,9 @@ mod tests {
         let spec = example3_spec(&data);
         let r = pg_cube(&spec, PgCubeVariant::Distinct, &MvdCubeOptions::default());
         let area = r.node(0b100).unwrap();
-        assert_eq!(area.groups[&vec![2]][0], Some(2.0));
+        assert_eq!(area.get(&[2]).unwrap()[0], Some(2.0));
         let gender = r.node(0b010).unwrap();
-        assert_eq!(gender.groups[&vec![0]][0], Some(1.0));
+        assert_eq!(gender.get(&[0]).unwrap()[0], Some(1.0));
     }
 
     /// …but Variations 1–2 remain wrong: sums and averages double-count.
@@ -407,7 +404,7 @@ mod tests {
         let spec = example3_spec(&data);
         let r = pg_cube(&spec, PgCubeVariant::Distinct, &MvdCubeOptions::default());
         let area = r.node(0b100).unwrap();
-        let manufacturer = &area.groups[&vec![2]];
+        let manufacturer = area.get(&[2]).unwrap();
         assert_eq!(manufacturer[1], Some(2.8e9 + 4.0 * 1.2e8)); // Variation 1
         let avg = manufacturer[2].unwrap();
         assert!((avg - (47.0 + 4.0 * 66.0) / 5.0).abs() < 1e-9); // Variation 2
@@ -423,9 +420,9 @@ mod tests {
         let pg = pg_cube(&spec, PgCubeVariant::Star, &opts);
         let mvd = crate::mvd_cube(&spec, &opts);
         let (a, b) = (pg.node(0b111).unwrap(), mvd.node(0b111).unwrap());
-        assert_eq!(a.groups.len(), b.groups.len());
-        for (key, vals) in &b.groups {
-            let avals = &a.groups[key];
+        assert_eq!(a.group_count(), b.group_count());
+        for (key, vals) in b.groups() {
+            let avals = a.get(key).unwrap();
             for (x, y) in vals.iter().zip(avals) {
                 match (x, y) {
                     (Some(x), Some(y)) => assert!((x - y).abs() < 1e-6),
@@ -459,9 +456,9 @@ mod tests {
             let pg = pg_cube(&spec, variant, &opts);
             for (mask, node) in &mvd.nodes {
                 let other = pg.node(*mask).unwrap();
-                assert_eq!(node.groups.len(), other.groups.len(), "mask {mask:b}");
-                for (key, vals) in &node.groups {
-                    let ovals = &other.groups[key];
+                assert_eq!(node.group_count(), other.group_count(), "mask {mask:b}");
+                for (key, vals) in node.groups() {
+                    let ovals = other.get(key).unwrap();
                     for (x, y) in vals.iter().zip(ovals) {
                         match (x, y) {
                             (Some(x), Some(y)) => {

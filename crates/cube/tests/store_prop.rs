@@ -56,42 +56,20 @@ fn build_columns(data: &RawData) -> (Vec<CategoricalColumn>, spade_storage::PreA
     (dims, builder.build(n).preaggregate())
 }
 
+/// Bit-level equality: the same labels, nodes and group keys, read as two
+/// key-ordered streams, with the same per-MDA f64 bit patterns.
 fn assert_identical(
     a: &CubeResult,
     b: &CubeResult,
     context: &str,
 ) -> Result<(), TestCaseError> {
-    let mut masks: Vec<u32> = a.nodes.keys().copied().collect();
-    masks.sort_unstable();
-    let mut other: Vec<u32> = b.nodes.keys().copied().collect();
-    other.sort_unstable();
-    prop_assert_eq!(&masks, &other, "{}: node sets differ", context);
-    for &mask in &masks {
-        let na = &a.nodes[&mask];
-        let nb = &b.nodes[&mask];
-        prop_assert_eq!(na.groups.len(), nb.groups.len(), "{}: node {:b}", context, mask);
-        for (key, va) in &na.groups {
-            let vb = nb.groups.get(key);
-            prop_assert!(vb.is_some(), "{}: node {:b} missing group {:?}", context, mask, key);
-            let vb = vb.unwrap();
-            prop_assert_eq!(va.len(), vb.len());
-            for (i, (x, y)) in va.iter().zip(vb).enumerate() {
-                let same = match (x, y) {
-                    (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
-                    (None, None) => true,
-                    _ => false,
-                };
-                prop_assert!(
-                    same,
-                    "{}: node {:b} group {:?} mda {}: {:?} vs {:?}",
-                    context,
-                    mask,
-                    key,
-                    i,
-                    x,
-                    y
-                );
-            }
+    let bits = |v: &[Option<f64>]| v.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
+    prop_assert_eq!(&a.mda_labels, &b.mda_labels, "{}: MDA labels", context);
+    prop_assert!(a.nodes.keys().eq(b.nodes.keys()), "{}: node sets differ", context);
+    for (na, nb) in a.nodes.values().zip(b.nodes.values()) {
+        prop_assert_eq!(na.group_count(), nb.group_count(), "{}: node {:b}", context, na.mask);
+        for ((ka, va), (kb, vb)) in na.groups().zip(nb.groups()) {
+            prop_assert_eq!((ka, bits(va)), (kb, bits(vb)), "{}: node {:b}", context, na.mask);
         }
     }
     Ok(())

@@ -154,17 +154,15 @@ fn check_against_reference(data: &RawData, chunk: Option<u32>) -> Result<(), Tes
 
     for (mask, ref_groups) in &reference {
         let ref_nonempty: BTreeMap<_, _> = ref_groups.iter().collect();
-        let node = result.node(*mask);
-        let empty = Default::default();
-        let got = node.map(|n| &n.groups).unwrap_or(&empty);
+        let got = result.node(*mask).cloned().unwrap_or_default();
         prop_assert_eq!(
-            got.len(),
+            got.group_count(),
             ref_nonempty.len(),
             "group count mismatch at node {:b}",
             mask
         );
-        for (key, values) in got {
-            let raw_key = remap_key(key, &dims, &result.node(*mask).unwrap().dims);
+        for (key, values) in got.groups() {
+            let raw_key = remap_key(key, &dims, &got.dims);
             let (ref_count, ref_measure) = ref_nonempty
                 .get(&raw_key)
                 .unwrap_or_else(|| panic!("unexpected group {raw_key:?} at node {mask:b}"));
@@ -228,9 +226,9 @@ proptest! {
             let retains_all = multi_valued.iter().all(|&d| mask & (1 << d) != 0);
             if retains_all {
                 let other = classical.node(*mask).unwrap();
-                prop_assert_eq!(node.groups.len(), other.groups.len());
-                for (key, vals) in &node.groups {
-                    let ovals = &other.groups[key];
+                prop_assert_eq!(node.group_count(), other.group_count());
+                for (key, vals) in node.groups() {
+                    let ovals = other.get(key).unwrap();
                     for (a, b) in vals.iter().zip(ovals) {
                         match (a, b) {
                             (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-9),
@@ -259,8 +257,8 @@ proptest! {
         let star = pg_cube(&spec, PgCubeVariant::Star, &opts);
         for (mask, node) in &correct.nodes {
             let other = star.node(*mask).unwrap();
-            for (key, vals) in &node.groups {
-                let ovals = &other.groups[key];
+            for (key, vals) in node.groups() {
+                let ovals = other.get(key).unwrap();
                 if let (Some(m), Some(p)) = (vals[0], ovals[0]) {
                     prop_assert!(p >= m - 1e-9, "count {p} < correct {m} at {mask:b} {key:?}");
                 }
