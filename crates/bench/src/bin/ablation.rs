@@ -18,6 +18,7 @@ use spade_core::evaluate::evaluate_cfs;
 use spade_core::Exec;
 use spade_cube::{mvd_cube, mvd_cube_with_earlystop, EarlyStopConfig, MvdCubeOptions};
 use spade_datagen::{synthetic, RealisticConfig, SyntheticConfig};
+use spade_stats::Interestingness;
 use spade_storage::AggFn;
 
 fn main() {
@@ -95,10 +96,11 @@ fn main() {
     println!("{:<10} {:>8} {:>12} {:>10}", "(off)", "-", ms(t_plain), "-");
     for sample in [20usize, 60, 120] {
         for batches in [1usize, 2, 4] {
-            let es =
-                EarlyStopConfig { k: 10, sample_size: sample, batches, ..Default::default() };
-            let ((_, outcome), t) =
-                timed(|| mvd_cube_with_earlystop(&spec, &MvdCubeOptions::default(), &es));
+            let es = EarlyStopConfig { sample_size: sample, batches, ..Default::default() };
+            let ((_, outcome), t) = timed(|| {
+                let opts = MvdCubeOptions::default();
+                mvd_cube_with_earlystop(&spec, &opts, &es, 10, Interestingness::Variance)
+            });
             println!(
                 "{:<10} {:>8} {:>12} {:>9.1}%",
                 sample,

@@ -37,7 +37,6 @@ use spade_datagen::corpus::{SyntheticCase, SYNTHETIC_CASES};
 use spade_datagen::synthetic::generate_columns;
 use spade_datagen::ColumnSet;
 use spade_storage::AggFn;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 struct Outcome {
@@ -95,15 +94,14 @@ fn run_case(
     let serial = Exec::new(1);
     let (lattice, translation) =
         prepare(&spec, &options, None, &serial).expect("unlimited budget cannot cancel");
-    let all_alive: HashMap<u32, Vec<bool>> =
-        lattice.nodes().iter().map(|&m| (m, vec![true; spec.mdas().len()])).collect();
+    let all_alive = vec![vec![true; spec.mdas().len()]; lattice.root_mask() as usize + 1];
     let evaluate = |exec: &Exec| {
         mvd_cube_pruned(&spec, &options, &lattice, &translation, &all_alive, exec)
             .expect("unlimited budget cannot cancel")
     };
 
     // Warm-up + agreement check (not timed).
-    let reference = run_engine_baseline(&spec, &lattice, &translation, None);
+    let reference = run_engine_baseline(&spec, &lattice, &translation);
     let optimized = evaluate(&serial);
     assert!(optimized == reference, "{}: optimized and baseline results differ", case.name);
     let total_groups = optimized.total_groups();
@@ -112,7 +110,7 @@ fn run_case(
     let mut engine_secs = f64::INFINITY;
     for _ in 0..repeats {
         let t = Instant::now();
-        let r = run_engine_baseline(&spec, &lattice, &translation, None);
+        let r = run_engine_baseline(&spec, &lattice, &translation);
         baseline_secs = baseline_secs.min(t.elapsed().as_secs_f64());
         std::hint::black_box(r);
 

@@ -14,6 +14,7 @@
 use spade_bench::{ms, HarnessArgs};
 use spade_cube::{EarlyStopConfig, PgCubeVariant};
 use spade_datagen::{synthetic, SyntheticConfig};
+use spade_stats::Interestingness;
 use spade_storage::AggFn;
 use std::time::Duration;
 
@@ -32,9 +33,10 @@ fn run_config(cfg: &SyntheticConfig) -> (Duration, Duration, Duration) {
     let (_, t_pg) =
         spade_bench::timed(|| spade_cube::pg_cube(&spec, PgCubeVariant::Star, &opts));
     let (_, t_mvd) = spade_bench::timed(|| spade_cube::mvd_cube(&spec, &opts));
-    let es = EarlyStopConfig { k: 10, ..Default::default() };
-    let (_, t_es) =
-        spade_bench::timed(|| spade_cube::mvd_cube_with_earlystop(&spec, &opts, &es));
+    let es = EarlyStopConfig::default();
+    let (_, t_es) = spade_bench::timed(|| {
+        spade_cube::mvd_cube_with_earlystop(&spec, &opts, &es, 10, Interestingness::Variance)
+    });
     (t_pg, t_mvd, t_es)
 }
 

@@ -13,7 +13,7 @@ use spade_bench::{
     analyzed_lattices, evaluate_all_mvd, evaluate_all_mvd_es, experiment_config, ms,
     regen_graph, topk_accuracy, HarnessArgs,
 };
-use spade_cube::EarlyStopConfig;
+use spade_core::SpadeConfig;
 use spade_datagen::RealisticConfig;
 use spade_stats::Interestingness;
 
@@ -34,12 +34,10 @@ fn main() {
             let mut graph = regen_graph(name, &cfg);
             let prepared = analyzed_lattices(&mut graph, &config);
             let (full, t_full) = evaluate_all_mvd(&prepared, &config);
-            let es_cfg = EarlyStopConfig {
-                k,
-                h: Interestingness::Variance,
-                ..EarlyStopConfig::default()
-            };
-            let (es, pruned, total, t_es) = evaluate_all_mvd_es(&prepared, &config, &es_cfg);
+            let es_config =
+                SpadeConfig { k, interestingness: Interestingness::Variance, ..config.clone() }
+                    .with_early_stop();
+            let (es, pruned, total, t_es) = evaluate_all_mvd_es(&prepared, &es_config);
             let gain = 100.0 * (t_full.as_secs_f64() - t_es.as_secs_f64())
                 / t_full.as_secs_f64().max(1e-9);
             let pruned_pct = 100.0 * pruned as f64 / total.max(1) as f64;

@@ -229,13 +229,15 @@ pub fn evaluate_all_pgcube(
     })
 }
 
-/// Same lattices through MVDCube with early-stop; returns results, the
-/// number pruned, the total aggregates, and wall time.
+/// Same lattices through MVDCube with early-stop, pruning for `config`'s
+/// `k` and `interestingness` with `config.early_stop`'s sampling (the
+/// paper's defaults when unset); returns results, the number pruned, the
+/// total aggregates, and wall time.
 pub fn evaluate_all_mvd_es(
     prepared: &[(CfsAnalysis, Vec<LatticeSpec>)],
     config: &SpadeConfig,
-    es: &spade_cube::EarlyStopConfig,
 ) -> (Vec<CubeResult>, usize, usize, Duration) {
+    let es = config.early_stop.unwrap_or_default();
     let t = Instant::now();
     let mut out = Vec::new();
     let mut pruned = 0usize;
@@ -243,8 +245,13 @@ pub fn evaluate_all_mvd_es(
     for (analysis, lattices) in prepared {
         for l in lattices {
             let spec = build_spec(analysis, l, config);
-            let (result, outcome) =
-                spade_cube::mvd_cube_with_earlystop(&spec, &Default::default(), es);
+            let (result, outcome) = spade_cube::mvd_cube_with_earlystop(
+                &spec,
+                &Default::default(),
+                &es,
+                config.k,
+                config.interestingness,
+            );
             pruned += outcome.pruned;
             total += outcome.total;
             out.push(result);

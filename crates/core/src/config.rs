@@ -57,7 +57,9 @@ pub struct SpadeConfig {
     /// Aggregate functions assigned to every measure (the statistics-guided
     /// assignment of Step 2; the default covers the common cases).
     pub agg_fns: Vec<AggFn>,
-    /// Early-stop pruning on/off plus its parameters.
+    /// Early-stop pruning on/off plus its sampling parameters. Pruning
+    /// targets this config's `k` and `interestingness`, so a request that
+    /// overrides either ([`RequestConfig::apply`]) prunes for its own.
     pub early_stop: Option<EarlyStopConfig>,
     /// Worker threads for the parallel pipeline stages (per-CFS attribute
     /// analysis and per-CFS/per-lattice aggregate evaluation). `0` = one
@@ -94,13 +96,9 @@ impl Default for SpadeConfig {
 
 impl SpadeConfig {
     /// Enables early-stop with the paper's empirically good settings
-    /// (sample size 60, 2 batches) for this config's `k` and `h`.
+    /// (sample size 60, 2 batches); it prunes for the run's `k` and `h`.
     pub fn with_early_stop(mut self) -> Self {
-        self.early_stop = Some(EarlyStopConfig {
-            k: self.k,
-            h: self.interestingness,
-            ..EarlyStopConfig::default()
-        });
+        self.early_stop = Some(EarlyStopConfig::default());
         self
     }
 
@@ -231,16 +229,11 @@ mod tests {
     }
 
     #[test]
-    fn with_early_stop_propagates_k_and_h() {
-        let c = SpadeConfig {
-            k: 3,
-            interestingness: Interestingness::Skewness,
-            ..Default::default()
-        }
-        .with_early_stop();
+    fn with_early_stop_uses_the_paper_sampling() {
+        let c = SpadeConfig { k: 3, ..Default::default() }.with_early_stop();
         let es = c.early_stop.unwrap();
-        assert_eq!(es.k, 3);
-        assert_eq!(es.h, Interestingness::Skewness);
+        assert_eq!((es.sample_size, es.batches), (60, 2));
+        assert_eq!(c.k, 3, "k stays in the run config");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use spade_cube::earlystop;
 use spade_cube::mvdcube::{mvd_cube_pruned, prepare, MvdCubeOptions};
 use spade_cube::{CubeResult, CubeSpec, MeasureSpec};
 use spade_parallel::{Cancelled, Exec};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The evaluation output for one CFS.
 #[derive(Debug, Default)]
@@ -56,11 +56,12 @@ struct LatticeOutcome {
 ///
 /// The budget is polled per lattice during planning and in every lattice's
 /// early-stop pruning and cube run, so an expired request unwinds with
-/// [`Cancelled`] within one region flush. Records one `lattice` span per
-/// lattice, ordered by lattice index ([`SpanCtx::span_at`]) so the
-/// span-tree shape is identical at every thread count; each lattice span
-/// nests the translate, early-stop, and cube-engine child spans opened by
-/// the stages it runs.
+/// [`Cancelled`] within one region flush. Records a `share` span over the
+/// cross-lattice sharing pass (with the `aggregates` enumerated after
+/// sharing) and one `lattice` span per lattice, ordered by lattice index
+/// ([`SpanCtx::span_at`]) so the span-tree shape is identical at every
+/// thread count; each lattice span nests the translate, early-stop, and
+/// cube-engine child spans opened by the stages it runs.
 ///
 /// [`SpanCtx::span_at`]: spade_telemetry::SpanCtx::span_at
 pub fn evaluate_cfs(
@@ -79,9 +80,9 @@ pub fn evaluate_cfs(
     // `(sorted dim attribute ids, MDA label)` pairs already evaluated in an
     // earlier lattice of this CFS; lattice order decides who computes a
     // shared aggregate, so this pass must stay sequential.
+    let share_span = exec.span.span("share");
     let mut shared: HashSet<(Vec<usize>, String)> = HashSet::new();
-    let mut work: Vec<(CubeSpec<'_>, HashMap<u32, Vec<bool>>)> =
-        Vec::with_capacity(lattices.len());
+    let mut work: Vec<(CubeSpec<'_>, Vec<Vec<bool>>)> = Vec::with_capacity(lattices.len());
     for lattice_spec in lattices {
         exec.check()?;
         let dims: Vec<_> = lattice_spec
@@ -100,9 +101,10 @@ pub fn evaluate_cfs(
         let spec = CubeSpec::new(dims, measures, analysis.n_facts());
         let mdas = spec.mdas();
 
-        // Mark duplicated (dim set, MDA) pairs dead.
+        // Mark duplicated (dim set, MDA) pairs dead; `alive` is indexed by
+        // node mask.
         let n_dims = lattice_spec.dims.len();
-        let mut alive: HashMap<u32, Vec<bool>> = HashMap::new();
+        let mut alive: Vec<Vec<bool>> = Vec::with_capacity(1 << n_dims);
         for mask in 0u32..(1 << n_dims) {
             let dim_attrs: Vec<usize> = (0..n_dims)
                 .filter(|i| mask & (1 << i) != 0)
@@ -113,17 +115,17 @@ pub fn evaluate_cfs(
                 .map(|mda| shared.insert((dim_attrs.clone(), mda.label.clone())))
                 .collect();
             evaluation.enumerated_aggregates += flags.iter().filter(|&&f| f).count();
-            alive.insert(mask, flags);
+            alive.push(flags);
         }
         work.push((spec, alive));
     }
+    share_span.attr("aggregates", evaluation.enumerated_aggregates as u64);
+    drop(share_span);
 
     // —— parallel per-lattice evaluation ——
     // Translation, early-stop pruning (each lattice draws from its own
     // seeded sample), and the cube run are independent per lattice.
-    #[allow(clippy::type_complexity)]
-    let indexed: Vec<(usize, (CubeSpec<'_>, HashMap<u32, Vec<bool>>))> =
-        work.into_iter().enumerate().collect();
+    let indexed: Vec<_> = work.into_iter().enumerate().collect();
     let outcomes = spade_parallel::try_map(indexed, outer, |(idx, (spec, mut alive))| {
         exec.check()?;
         let lattice_span = exec.span.span_at("lattice", idx as u64);
@@ -133,11 +135,11 @@ pub fn evaluate_cfs(
         let mut pruned_by_es = 0usize;
         if let Some(es_config) = &config.early_stop {
             let samples = translation.samples.as_ref().expect("sampling enabled");
-            let outcome = earlystop::prune(&spec, &lattice, samples, es_config, &lexec)?;
-            for (mask, flags) in &mut alive {
-                let es_flags = &outcome.alive[mask];
-                for (i, f) in flags.iter_mut().enumerate() {
-                    if *f && !es_flags[i] {
+            let (k, h) = (config.k, config.interestingness);
+            let outcome = earlystop::prune(&spec, &lattice, samples, es_config, k, h, &lexec)?;
+            for (flags, es_flags) in alive.iter_mut().zip(&outcome.alive) {
+                for (f, &es) in flags.iter_mut().zip(es_flags) {
+                    if *f && !es {
                         *f = false;
                         pruned_by_es += 1;
                     }
@@ -145,7 +147,7 @@ pub fn evaluate_cfs(
             }
         }
         let evaluated_aggregates =
-            alive.values().map(|f| f.iter().filter(|&&x| x).count()).sum::<usize>();
+            alive.iter().map(|f| f.iter().filter(|&&x| x).count()).sum::<usize>();
         lattice_span.attr("aggregates", evaluated_aggregates as u64);
         let result = mvd_cube_pruned(&spec, &options, &lattice, &translation, &alive, &lexec)?;
         Ok(LatticeOutcome { result, evaluated_aggregates, pruned_by_es })

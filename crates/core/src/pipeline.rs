@@ -835,7 +835,7 @@ mod tests {
     fn run_on_applies_request_overrides() {
         let g = realistic::ceos(&RealisticConfig { scale: 200, seed: 2 });
         let base = SpadeConfig { k: 5, min_support: 0.3, ..Default::default() };
-        let spade = Spade::new(base);
+        let spade = Spade::new(base.clone());
         let state = OfflineState::from_graph(g, 0);
         let full = spade.run_on(&state, &RequestConfig::default());
         assert_eq!(full.top.len(), 5);
@@ -887,6 +887,30 @@ mod tests {
                 &RequestConfig { threads: Some(threads), ..Default::default() },
             );
             assert_eq!(r.to_json(false), full.to_json(false), "threads={threads}");
+        }
+
+        // Early-stop prunes for the request's k and h, not the base's: the
+        // answer equals that of an engine whose base config carries them.
+        let es = Spade::new(base.clone().with_early_stop());
+        let kurtosis = spade_stats::Interestingness::Kurtosis;
+        let overrides = [
+            (
+                RequestConfig { k: Some(25), ..Default::default() },
+                SpadeConfig { k: 25, ..base.clone() },
+            ),
+            (
+                RequestConfig { interestingness: Some(kurtosis), ..Default::default() },
+                SpadeConfig { interestingness: kurtosis, ..base },
+            ),
+        ];
+        for (request, resolved) in overrides {
+            let expected = Spade::new(resolved.with_early_stop())
+                .run_on(&state, &RequestConfig::default());
+            assert_eq!(
+                es.run_on(&state, &request).to_json(false),
+                expected.to_json(false),
+                "{request:?}"
+            );
         }
     }
 

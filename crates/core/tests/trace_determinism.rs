@@ -25,7 +25,7 @@ const ONLINE_STAGES: [&str; 6] = [
 ];
 
 /// Distinct span paths of a plain (no early-stop) traced run.
-const SPAN_PATHS: [&str; 18] = [
+const SPAN_PATHS: [&str; 19] = [
     "attribute_analysis",
     "attribute_analysis/cfs",
     "cfs_selection",
@@ -39,6 +39,7 @@ const SPAN_PATHS: [&str; 18] = [
     "evaluation/cfs/lattice",
     "evaluation/cfs/lattice/shard",
     "evaluation/cfs/lattice/translate",
+    "evaluation/cfs/share",
     "offline_analysis",
     "topk",
     "topk/materialize",

@@ -140,7 +140,8 @@ pub fn array_cube(spec: &CubeSpec<'_>, options: &MvdCubeOptions) -> CubeResult {
     prepare(spec, options, None, &exec)
         .and_then(|(lattice, translation)| {
             let algebra = ArrayAlgebra::new(spec);
-            run_engine(spec, &lattice, &translation, &algebra, None, options, &exec)
+            let alive = vec![vec![true; algebra.mdas.len()]; lattice.root_mask() as usize + 1];
+            run_engine(spec, &lattice, &translation, &algebra, &alive, options, &exec)
         })
         .expect("unlimited budget cannot cancel")
 }

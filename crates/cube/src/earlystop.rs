@@ -24,13 +24,12 @@ use spade_stats::{GroupSample, Interestingness, InterestingnessCi};
 use spade_storage::{AggFn, FactId};
 use std::collections::HashMap;
 
-/// Early-stop tuning parameters.
+/// Early-stop tuning parameters. The `k` and `h` a run prunes for are not
+/// part of it: [`prune`] takes them from its caller, so they have one home
+/// per run (the pipeline's effective `SpadeConfig`, after request
+/// overrides).
 #[derive(Clone, Copy, Debug)]
 pub struct EarlyStopConfig {
-    /// How many aggregates the user wants (`k`).
-    pub k: usize,
-    /// The interestingness function the run optimizes.
-    pub h: Interestingness,
     /// Confidence level `1 − α` of the pruning intervals.
     pub confidence: f64,
     /// Per-group reservoir capacity (the paper's empirically good value: 60).
@@ -41,21 +40,16 @@ pub struct EarlyStopConfig {
 
 impl Default for EarlyStopConfig {
     fn default() -> Self {
-        EarlyStopConfig {
-            k: 10,
-            h: Interestingness::Variance,
-            confidence: 0.95,
-            sample_size: 60,
-            batches: 2,
-        }
+        EarlyStopConfig { confidence: 0.95, sample_size: 60, batches: 2 }
     }
 }
 
 /// What early-stop decided.
 #[derive(Clone, Debug)]
 pub struct EarlyStopOutcome {
-    /// Per lattice node: per-MDA liveness (false = pruned).
-    pub alive: HashMap<u32, Vec<bool>>,
+    /// Per lattice node, indexed by `mask as usize`: per-MDA liveness
+    /// (false = pruned).
+    pub alive: Vec<Vec<bool>>,
     /// Number of pruned `(node, MDA)` aggregates.
     pub pruned: usize,
     /// Total number of `(node, MDA)` aggregates considered.
@@ -91,24 +85,24 @@ fn estimation_group_cap(n_facts: usize) -> usize {
 }
 
 /// Projects the root-group samples onto every lattice node with at most
-/// `group_cap` groups (others skip estimation entirely). Each merged child
-/// sample is re-capped at the reservoir capacity so per-node estimation
-/// work stays `O(#groups · sample_size)` — the sampling analogue of "each
-/// node in the MMST receives its own sample" (Section 5.3). Nodes are
-/// independent, so the projection fans out over `exec.threads` and merges
-/// in node order.
+/// `group_cap` groups, indexed by `mask as usize` (others get `None` and
+/// skip estimation entirely). Each merged child sample is re-capped at the
+/// reservoir capacity so per-node estimation work stays
+/// `O(#groups · sample_size)` — the sampling analogue of "each node in the
+/// MMST receives its own sample" (Section 5.3). Nodes are independent, so
+/// the projection fans out over `exec.threads` and merges in mask order.
 fn project_samples(
     lattice: &Lattice,
     samples: &SampleSet,
     group_cap: usize,
     exec: &Exec,
-) -> Result<HashMap<u32, NodeSamples>, Cancelled> {
+) -> Result<Vec<Option<NodeSamples>>, Cancelled> {
     let strides = crate::translate::strides_for(&lattice.domains);
-    let projected = spade_parallel::try_map(lattice.nodes(), exec.threads, |mask| {
+    let masks: Vec<u32> = (0..=lattice.root_mask()).collect();
+    spade_parallel::try_map(masks, exec.threads, |mask| {
         exec.check()?;
-        Ok(project_node(lattice, samples, group_cap, &strides, mask).map(|ns| (mask, ns)))
-    })?;
-    Ok(projected.into_iter().flatten().collect())
+        Ok(project_node(lattice, samples, group_cap, &strides, mask))
+    })
 }
 
 /// One node's projected sample, or `None` when estimating it would cost
@@ -215,7 +209,8 @@ fn fact_value(spec: &CubeSpec<'_>, measure: usize, agg: AggFn, fact: u32) -> Opt
     })
 }
 
-/// Runs the early-stop pruning loop over the stratified samples.
+/// Runs the early-stop pruning loop over the stratified samples, pruning
+/// the aggregates that (w.h.p.) cannot reach the top `k` under `h`.
 ///
 /// Each batch fans the per-node moment updates and interval computations
 /// out over `exec.threads` and aggregates the node-local results **in node
@@ -229,31 +224,33 @@ pub fn prune(
     lattice: &Lattice,
     samples: &SampleSet,
     config: &EarlyStopConfig,
+    k: usize,
+    h: Interestingness,
     exec: &Exec,
 ) -> Result<EarlyStopOutcome, Cancelled> {
     let span = exec.span.span("earlystop");
     let mdas = spec.mdas();
     let cap = estimation_group_cap(spec.n_facts);
     let node_samples = project_samples(lattice, samples, cap, exec)?;
-    let masks = lattice.nodes();
-    let total = masks.len() * mdas.len();
+    let total = node_samples.len() * mdas.len();
 
-    let mut alive: HashMap<u32, Vec<bool>> =
-        masks.iter().map(|&m| (m, vec![true; mdas.len()])).collect();
+    let mut alive = vec![vec![true; mdas.len()]; node_samples.len()];
 
-    // With k ≥ total aggregates nothing can ever be pruned.
-    if config.k >= total || config.batches == 0 || config.sample_size == 0 {
+    // With k ≥ total aggregates nothing can ever be pruned; with k = 0
+    // (a request may ask for it) there is no k-th best bound to prune
+    // against.
+    if k == 0 || k >= total || config.batches == 0 || config.sample_size == 0 {
         return Ok(EarlyStopOutcome { alive, pruned: 0, total, batches_run: 0 });
     }
 
-    let ci = InterestingnessCi::new(config.h, config.confidence);
+    let ci = InterestingnessCi::new(h, config.confidence);
     let batch_len = samples.capacity.div_ceil(config.batches).max(1);
     let mut pruned = 0usize;
     let mut batches_run = 0usize;
 
-    // Nodes worth estimating (see `estimation_group_cap`).
-    let estimable: Vec<u32> =
-        masks.iter().copied().filter(|m| node_samples.contains_key(m)).collect();
+    // Nodes worth estimating (see `estimation_group_cap`), with their samples.
+    let estimable: Vec<(usize, &NodeSamples)> =
+        node_samples.iter().enumerate().filter_map(|(m, ns)| Some((m, ns.as_ref()?))).collect();
 
     // Per estimable node, per MDA: running per-group moments, extended
     // batch by batch — the incremental estimate update of Section 5.1
@@ -264,8 +261,7 @@ pub fn prune(
     // fan-out below.
     let mut states: Vec<Vec<Vec<GroupSample>>> = estimable
         .iter()
-        .map(|mask| {
-            let ns = &node_samples[mask];
+        .map(|(_, ns)| {
             mdas.iter()
                 .map(|_| {
                     ns.groups
@@ -291,13 +287,13 @@ pub fn prune(
         // of sampled facts and computes the intervals of its alive
         // aggregates. `map` returns shards in node order, so the interval
         // list below is identical at every thread count.
-        let work: Vec<(u32, Vec<Vec<GroupSample>>)> =
-            estimable.iter().copied().zip(std::mem::take(&mut states)).collect();
+        let work: Vec<(usize, Vec<Vec<GroupSample>>)> =
+            std::mem::take(&mut states).into_iter().enumerate().collect();
         let alive_ref = &alive;
-        let shards = spade_parallel::try_map(work, exec.threads, |(mask, mut node_states)| {
+        let shards = spade_parallel::try_map(work, exec.threads, |(i, mut node_states)| {
             exec.check()?;
-            let ns = &node_samples[&mask];
-            let alive_flags = &alive_ref[&mask];
+            let (mask, ns) = estimable[i];
+            let alive_flags = &alive_ref[mask];
             let alive_mdas: Vec<usize> = (0..mdas.len())
                 .filter(|&mi| {
                     alive_flags[mi] && matches!(mdas[mi].kind, MdaKind::Measure { .. })
@@ -343,8 +339,8 @@ pub fn prune(
         })?;
 
         // —— deterministic aggregation of the shard-local results ——
-        let mut intervals: Vec<(u32, usize, spade_stats::ScoreInterval)> = Vec::new();
-        for (&mask, (node_states, node_intervals)) in estimable.iter().zip(shards) {
+        let mut intervals: Vec<(usize, usize, spade_stats::ScoreInterval)> = Vec::new();
+        for (&(mask, _), (node_states, node_intervals)) in estimable.iter().zip(shards) {
             states.push(node_states);
             intervals.extend(node_intervals.into_iter().map(|(mi, iv)| (mask, mi, iv)));
         }
@@ -352,13 +348,13 @@ pub fn prune(
         // k-th best lower bound among alive aggregates.
         let mut lowers: Vec<f64> = intervals.iter().map(|(_, _, iv)| iv.lower).collect();
         lowers.sort_by(|a, b| b.total_cmp(a));
-        let Some(&kth_lower) = lowers.get(config.k - 1) else { break };
+        let Some(&kth_lower) = lowers.get(k - 1) else { break };
 
         // Prune: U_A < L_kth ⇒ A cannot (w.h.p.) reach the top-k.
         let mut pruned_this_batch = 0usize;
         for (mask, mi, iv) in &intervals {
             if iv.upper < kth_lower {
-                alive.get_mut(mask).unwrap()[*mi] = false;
+                alive[*mask][*mi] = false;
                 pruned_this_batch += 1;
             }
         }
@@ -421,14 +417,19 @@ mod tests {
             ],
             400,
         );
-        let config = EarlyStopConfig { k: 2, sample_size: 60, ..Default::default() };
-        let (result, outcome) =
-            mvd_cube_with_earlystop(&spec, &MvdCubeOptions::default(), &config);
+        let config = EarlyStopConfig { sample_size: 60, ..Default::default() };
+        let (result, outcome) = mvd_cube_with_earlystop(
+            &spec,
+            &MvdCubeOptions::default(),
+            &config,
+            2,
+            Interestingness::Variance,
+        );
         assert!(outcome.pruned > 0, "expected some pruning");
         assert!(outcome.pruned_fraction() > 0.0);
         // avg(hot) by dim a (mask 0b01) must survive: it is the clear winner.
         let hot_idx = 1; // mdas: count(*), avg(hot), avg(flat)
-        assert!(outcome.alive[&0b01][hot_idx], "hot aggregate wrongly pruned");
+        assert!(outcome.alive[0b01][hot_idx], "hot aggregate wrongly pruned");
         let node = result.node(0b01).unwrap();
         assert!(node.groups().any(|(_, v)| v[hot_idx].is_some()));
     }
@@ -456,8 +457,9 @@ mod tests {
         };
         let top_full = top3(&full);
 
-        let config = EarlyStopConfig { k: 3, ..Default::default() };
-        let (pruned_result, _) = mvd_cube_with_earlystop(&spec, &opts, &config);
+        let config = EarlyStopConfig::default();
+        let (pruned_result, _) =
+            mvd_cube_with_earlystop(&spec, &opts, &config, 3, Interestingness::Variance);
         let top_es = top3(&pruned_result);
 
         // Accuracy metric |T ∩ T_es| / |T| (Section 6.4) — here the signal
@@ -468,7 +470,7 @@ mod tests {
     }
 
     #[test]
-    fn no_pruning_when_k_covers_everything() {
+    fn no_pruning_when_k_is_zero_or_covers_everything() {
         let (a, _, hot, _) = build();
         let hot_pre = hot.preaggregate();
         let spec = CubeSpec::new(
@@ -476,10 +478,17 @@ mod tests {
             vec![MeasureSpec { preagg: &hot_pre, fns: vec![spade_storage::AggFn::Avg] }],
             400,
         );
-        let config = EarlyStopConfig { k: 100, ..Default::default() };
-        let (_, outcome) = mvd_cube_with_earlystop(&spec, &MvdCubeOptions::default(), &config);
-        assert_eq!(outcome.pruned, 0);
-        assert_eq!(outcome.batches_run, 0);
+        let config = EarlyStopConfig::default();
+        for k in [0, 100] {
+            let (_, outcome) = mvd_cube_with_earlystop(
+                &spec,
+                &MvdCubeOptions::default(),
+                &config,
+                k,
+                Interestingness::Variance,
+            );
+            assert_eq!((outcome.pruned, outcome.batches_run), (0, 0), "k = {k}");
+        }
     }
 
     #[test]
@@ -495,11 +504,16 @@ mod tests {
             ],
             400,
         );
-        let config = EarlyStopConfig { k: 1, ..Default::default() };
-        let (result, outcome) =
-            mvd_cube_with_earlystop(&spec, &MvdCubeOptions::default(), &config);
-        for (mask, flags) in &outcome.alive {
-            if let Some(node) = result.node(*mask) {
+        let config = EarlyStopConfig::default();
+        let (result, outcome) = mvd_cube_with_earlystop(
+            &spec,
+            &MvdCubeOptions::default(),
+            &config,
+            1,
+            Interestingness::Variance,
+        );
+        for (mask, flags) in outcome.alive.iter().enumerate() {
+            if let Some(node) = result.node(mask as u32) {
                 for (_, values) in node.groups() {
                     for (mi, v) in values.iter().enumerate() {
                         if !flags[mi] {

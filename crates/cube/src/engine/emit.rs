@@ -47,16 +47,16 @@ type EmitTask<'a, C> = (u32, u64, &'a [(u64, C)]);
 /// reusable buffer.
 pub(crate) fn emit_region_into<A: CubeAlgebra>(
     algebra: &A,
-    plan: &LatticePlan<A>,
+    plan: &LatticePlan<'_, A>,
     mask: u32,
     region: u64,
     store: &RegionStore<A::Cell>,
     scratch: &mut A::EmitScratch,
     result: &mut CubeResult,
 ) {
-    let geom = &plan.geoms[&mask];
-    let alive = &plan.alive[&mask];
-    let emit_plan = &plan.plans[&mask];
+    let geom = &plan.geoms[mask as usize];
+    let alive = &plan.alive[mask as usize];
+    let emit_plan = &plan.plans[mask as usize];
     let node = result.node_mut(mask);
     for (local, cell) in store.iter_cells() {
         node.push_group(|keys, values| {
@@ -74,7 +74,7 @@ pub(crate) fn emit_region_into<A: CubeAlgebra>(
 /// the phase durations.
 pub(crate) fn merge_and_emit<A: CubeAlgebra>(
     algebra: &A,
-    plan: &LatticePlan<A>,
+    plan: &LatticePlan<'_, A>,
     shard_outputs: Vec<ShardPartials<A::Cell>>,
     mut result: CubeResult,
     exec: &Exec,
@@ -129,9 +129,9 @@ pub(crate) fn merge_and_emit<A: CubeAlgebra>(
     }
     let outputs = spade_parallel::try_map(tasks, exec.threads, |(mask, region, cells)| {
         exec.check()?;
-        let geom = &plan.geoms[&mask];
-        let alive = &plan.alive[&mask];
-        let emit_plan = &plan.plans[&mask];
+        let geom = &plan.geoms[mask as usize];
+        let alive = &plan.alive[mask as usize];
+        let emit_plan = &plan.plans[mask as usize];
         let mut scratch = A::EmitScratch::default();
         let mut node = NodeResult::new(mask, alive.len());
         for (local, cell) in cells {

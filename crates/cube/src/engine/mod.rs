@@ -17,6 +17,13 @@
 //! shard plan and per-shard cascade), and [`emit`] (cross-shard merge and
 //! parallel measure computation).
 //!
+//! The lattice over `N` dimensions has exactly `2^N` nodes, one per mask,
+//! so every per-node table — geometry, projections, MDA liveness, emit
+//! plans, and the shard cascade's per-node level of its region maps — is a
+//! dense `Vec` indexed by `mask as usize`. The liveness table is the
+//! caller's own (cross-lattice sharing and early-stop write it), borrowed
+//! as is.
+//!
 //! ## Shard lifecycle (intra-lattice parallelism)
 //!
 //! Cube memory is keyed by *(MMST node, region)*, where a node's region is
@@ -91,7 +98,6 @@ use crate::translate::Translation;
 use geometry::{node_geom, NodeGeom, Projection};
 use spade_bitmap::Bitmap;
 use spade_parallel::{Cancelled, Exec};
-use std::collections::HashMap;
 
 /// What a cube cell holds and how cells combine — the algorithm-specific
 /// part of lattice evaluation. `Sync`/`Send` bounds let the engine fan the
@@ -143,71 +149,54 @@ pub(crate) trait CubeAlgebra: Sync {
 
 /// The read-only per-evaluation plan every shard and emit task shares:
 /// geometry, projections (pre-filtered to surviving subtrees), MDA
-/// liveness, and per-node emit plans.
-pub(crate) struct LatticePlan<A: CubeAlgebra> {
+/// liveness, and per-node emit plans. Every table has one entry per
+/// lattice node, indexed by `mask as usize`.
+pub(crate) struct LatticePlan<'l, A: CubeAlgebra> {
     pub(crate) root: u32,
-    /// All node masks, root first.
-    pub(crate) nodes: Vec<u32>,
-    pub(crate) geoms: HashMap<u32, NodeGeom>,
-    pub(crate) projections: HashMap<u32, Vec<Projection>>,
-    /// node → per-MDA alive flags.
-    pub(crate) alive: HashMap<u32, Vec<bool>>,
-    /// node → whether any MDA is alive (the node emits / parks).
-    pub(crate) emits: HashMap<u32, bool>,
-    /// node → precomputed emit plan (needed measures etc.).
-    pub(crate) plans: HashMap<u32, A::EmitPlan>,
+    pub(crate) geoms: Vec<NodeGeom>,
+    pub(crate) projections: Vec<Vec<Projection>>,
+    /// Per-MDA alive flags (the caller's liveness table).
+    pub(crate) alive: &'l [Vec<bool>],
+    /// Whether any MDA is alive (the node emits / parks).
+    pub(crate) emits: Vec<bool>,
+    /// Precomputed emit plan (needed measures etc.).
+    pub(crate) plans: Vec<A::EmitPlan>,
     /// Whether the root's subtree emits anything at all.
     pub(crate) keep_root: bool,
 }
 
-fn build_plan<A: CubeAlgebra>(
-    spec: &CubeSpec<'_>,
+fn build_plan<'l, A: CubeAlgebra>(
     lattice: &Lattice,
     algebra: &A,
-    alive: Option<&HashMap<u32, Vec<bool>>>,
+    alive: &'l [Vec<bool>],
     policy: CellStorePolicy,
-) -> LatticePlan<A> {
+) -> LatticePlan<'l, A> {
     let mmst = lattice.mmst();
-    let n_mdas = spec.mdas().len();
-    let nodes = lattice.nodes();
-
-    let mut geoms = HashMap::new();
-    for &mask in &nodes {
-        geoms.insert(mask, node_geom(lattice, mask, policy));
-    }
-
-    // Liveness: default everything alive; keep = self or descendant alive.
-    let alive_map: HashMap<u32, Vec<bool>> = nodes
-        .iter()
-        .map(|&m| {
-            let flags =
-                alive.and_then(|a| a.get(&m).cloned()).unwrap_or_else(|| vec![true; n_mdas]);
-            assert_eq!(flags.len(), n_mdas);
-            (m, flags)
-        })
-        .collect();
-    let emits: HashMap<u32, bool> =
-        alive_map.iter().map(|(&m, flags)| (m, flags.iter().any(|&a| a))).collect();
-    let plans: HashMap<u32, A::EmitPlan> =
-        alive_map.iter().map(|(&m, flags)| (m, algebra.plan_emit(flags))).collect();
-    let mut keep: HashMap<u32, bool> = HashMap::new();
+    let root = lattice.root_mask();
+    assert_eq!(alive.len(), root as usize + 1, "one liveness entry per node");
+    let geoms: Vec<NodeGeom> =
+        (0..=root).map(|mask| node_geom(lattice, mask, policy)).collect();
+    let emits: Vec<bool> = alive.iter().map(|flags| flags.iter().any(|&a| a)).collect();
+    let plans: Vec<A::EmitPlan> = alive.iter().map(|flags| algebra.plan_emit(flags)).collect();
+    // keep = self or descendant emits.
+    let mut keep = vec![false; alive.len()];
     for &mask in mmst.topological().iter().rev() {
-        let child_alive = mmst.children_of(mask).iter().any(|c| keep[c]);
-        keep.insert(mask, emits[&mask] || child_alive);
+        keep[mask as usize] =
+            emits[mask as usize] || mmst.children_of(mask).iter().any(|&c| keep[c as usize]);
     }
 
     // Projections, pre-filtered to children whose subtree still emits —
-    // the flush hot path then never consults the keep map.
+    // the flush hot path then never consults `keep`.
     let n_chunks = lattice.n_chunks();
-    let mut projections: HashMap<u32, Vec<Projection>> = HashMap::new();
-    for &mask in &nodes {
-        let parent_dims = &geoms[&mask].dims;
+    let mut projections: Vec<Vec<Projection>> = Vec::with_capacity(geoms.len());
+    for (mask, geom) in (0..).zip(&geoms) {
+        let parent_dims = &geom.dims;
         let projs: Vec<Projection> = mmst
             .children_of(mask)
             .iter()
-            .filter(|child| keep[child])
+            .filter(|&&child| keep[child as usize])
             .map(|&child| {
-                let dropped = mmst.parent[&child].1;
+                let dropped = mmst.parent[child as usize].expect("child has a parent").1;
                 let pos = parent_dims.iter().position(|&d| d == dropped).unwrap();
                 let local_below: u64 =
                     parent_dims[pos + 1..].iter().map(|&i| lattice.chunks[i] as u64).product();
@@ -222,20 +211,18 @@ fn build_plan<A: CubeAlgebra>(
                 }
             })
             .collect();
-        if !projs.is_empty() {
-            projections.insert(mask, projs);
-        }
+        projections.push(projs);
     }
 
-    let root = lattice.root_mask();
-    let keep_root = keep[&root];
-    LatticePlan { root, nodes, geoms, projections, alive: alive_map, emits, plans, keep_root }
+    let keep_root = keep[root as usize];
+    LatticePlan { root, geoms, projections, alive, emits, plans, keep_root }
 }
 
 /// Runs the region-sharded engine over a translation.
 ///
-/// `alive` gives per-node MDA liveness (from early-stop); pass `None` to
-/// evaluate everything. `options` supplies the store policy and the shard
+/// `alive` gives each node's per-MDA liveness, indexed by `mask as usize`
+/// (from cross-lattice sharing and early-stop; all `true` evaluates
+/// everything). `options` supplies the store policy and the shard
 /// weight override; `exec` the workers for the shard cascade and emit
 /// phases (results are bit-identical for every value), the budget, and the
 /// span position. See the module docs for the shard lifecycle. The budget
@@ -252,13 +239,13 @@ pub(crate) fn run_engine<A: CubeAlgebra>(
     lattice: &Lattice,
     translation: &Translation,
     algebra: &A,
-    alive: Option<&HashMap<u32, Vec<bool>>>,
+    alive: &[Vec<bool>],
     options: &MvdCubeOptions,
     exec: &Exec,
 ) -> Result<CubeResult, Cancelled> {
     let labels = spec.mdas().into_iter().map(|m| m.label).collect();
     let result = CubeResult::new(labels);
-    let plan = build_plan(spec, lattice, algebra, alive, options.store_policy);
+    let plan = build_plan(lattice, algebra, alive, options.store_policy);
     if !plan.keep_root {
         return Ok(result);
     }

@@ -127,13 +127,14 @@ pub(crate) enum ShardSink<'r, A: CubeAlgebra> {
 /// The shard-local cascade state.
 struct RegionShard<'a, 'r, A: CubeAlgebra> {
     algebra: &'a A,
-    plan: &'a LatticePlan<A>,
-    /// node → region → flat cell storage (in-flight regions).
-    memory: HashMap<u32, HashMap<u64, RegionStore<A::Cell>>>,
-    /// node → region → remaining shard chunks before local completion.
-    pending: HashMap<u32, HashMap<u64, u64>>,
-    /// node → region → number of shard chunks mapping to it.
-    totals: HashMap<u32, HashMap<u64, u64>>,
+    plan: &'a LatticePlan<'a, A>,
+    /// Per node (indexed by mask): region → flat cell storage (in-flight
+    /// regions).
+    memory: Vec<HashMap<u64, RegionStore<A::Cell>>>,
+    /// Per node: region → remaining shard chunks before local completion.
+    pending: Vec<HashMap<u64, u64>>,
+    /// Per node: region → number of shard chunks mapping to it.
+    totals: Vec<HashMap<u64, u64>>,
     /// Total cells in the shard's slice — the store sizing hint (see
     /// [`RegionStore::with_load`]).
     load: u64,
@@ -167,7 +168,7 @@ fn annotate(span: &Span, translation: &Translation, chunks: &[ShardChunk]) {
 /// chunk's cascade.
 pub(crate) fn run_shard<A: CubeAlgebra>(
     algebra: &A,
-    plan: &LatticePlan<A>,
+    plan: &LatticePlan<'_, A>,
     translation: &Translation,
     chunks: &[ShardChunk],
     exec: &Exec,
@@ -184,7 +185,7 @@ pub(crate) fn run_shard<A: CubeAlgebra>(
 /// flush time (no partials, no merge phase — the serial fast path).
 pub(crate) fn run_shard_emit<A: CubeAlgebra>(
     algebra: &A,
-    plan: &LatticePlan<A>,
+    plan: &LatticePlan<'_, A>,
     translation: &Translation,
     chunks: &[ShardChunk],
     result: &mut CubeResult,
@@ -199,31 +200,30 @@ pub(crate) fn run_shard_emit<A: CubeAlgebra>(
 
 fn cascade<'r, A: CubeAlgebra>(
     algebra: &A,
-    plan: &LatticePlan<A>,
+    plan: &LatticePlan<'_, A>,
     translation: &Translation,
     chunks: &[ShardChunk],
     sink: ShardSink<'r, A>,
     exec: &Exec,
 ) -> Result<ShardSink<'r, A>, Cancelled> {
-    let mut totals: HashMap<u32, HashMap<u64, u64>> =
-        plan.nodes.iter().map(|&m| (m, HashMap::new())).collect();
+    let n_nodes = plan.geoms.len();
+    let mut totals: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n_nodes];
     for chunk in chunks {
         let coords = &translation.partitions[chunk.partition].coords;
-        for &mask in &plan.nodes {
-            let region = plan.geoms[&mask].region_of(coords);
-            *totals.get_mut(&mask).unwrap().entry(region).or_insert(0) += 1;
+        for (geom, node_totals) in plan.geoms.iter().zip(&mut totals) {
+            *node_totals.entry(geom.region_of(coords)).or_insert(0) += 1;
         }
     }
     let mut shard = RegionShard {
         algebra,
         plan,
-        memory: plan.nodes.iter().map(|&m| (m, HashMap::new())).collect(),
-        pending: plan.nodes.iter().map(|&m| (m, HashMap::new())).collect(),
+        memory: (0..n_nodes).map(|_| HashMap::new()).collect(),
+        pending: vec![HashMap::new(); n_nodes],
         totals,
         load: chunks.iter().map(|c| (c.end - c.start) as u64).sum(),
         sink,
     };
-    let root_geom = &plan.geoms[&plan.root];
+    let root_geom = &plan.geoms[plan.root as usize];
     for chunk in chunks {
         // Cancellation point between region flushes: an expired request
         // unwinds within one chunk's cascade. Checking *before* the work
@@ -243,7 +243,7 @@ fn cascade<'r, A: CubeAlgebra>(
         }
         shard.flush(plan.root, root_geom.region_of(&partition.coords), store);
     }
-    debug_assert!(shard.pending.values().all(HashMap::is_empty), "unflushed regions");
+    debug_assert!(shard.pending.iter().all(HashMap::is_empty), "unflushed regions");
     Ok(shard.sink)
 }
 
@@ -256,8 +256,9 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
     /// replacing the measure computation when other shards may still
     /// contribute.
     fn flush(&mut self, mask: u32, region: u64, mut store: RegionStore<A::Cell>) {
-        let coverage = self.totals[&mask][&region];
-        let emits = self.plan.emits[&mask];
+        let node = mask as usize;
+        let coverage = self.totals[node][&region];
+        let emits = self.plan.emits[node];
         // Emit-at-flush (single-shard plans): the region is globally
         // complete, so compute measures now and let the store move into
         // the last child below.
@@ -280,10 +281,10 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
         // surviving subtrees). Unless the cells must park afterwards, the
         // last child receives them by move; a parking node's children all
         // read them by reference.
-        let n_projs = self.plan.projections.get(&mask).map_or(0, Vec::len);
+        let n_projs = self.plan.projections[node].len();
         for pi in 0..n_projs {
             let (child, local_d, local_below, region_d, region_below) = {
-                let p: &Projection = &self.plan.projections[&mask][pi];
+                let p: &Projection = &self.plan.projections[node][pi];
                 (p.child_mask, p.local_d, p.local_below, p.region_d, p.region_below)
             };
             let child_region = project(region, region_d, region_below);
@@ -307,16 +308,15 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
 
             // Shard-local flush check (timeToStoreToDisk): every shard
             // chunk of the child's region processed?
-            let total = self.totals[&child][&child_region];
-            let pending =
-                self.pending.get_mut(&child).unwrap().entry(child_region).or_insert(total);
+            let total = self.totals[child as usize][&child_region];
+            let pending = self.pending[child as usize].entry(child_region).or_insert(total);
             *pending = pending.saturating_sub(coverage);
             if *pending == 0 {
-                self.pending.get_mut(&child).unwrap().remove(&child_region);
+                self.pending[child as usize].remove(&child_region);
                 let child_store =
-                    self.memory.get_mut(&child).unwrap().remove(&child_region).unwrap_or_else(
-                        || RegionStore::with_load(&self.plan.geoms[&child], self.load),
-                    );
+                    self.memory[child as usize].remove(&child_region).unwrap_or_else(|| {
+                        RegionStore::with_load(&self.plan.geoms[child as usize], self.load)
+                    });
                 self.flush(child, child_region, child_store);
             }
         }
@@ -333,12 +333,9 @@ impl<'a, 'r, A: CubeAlgebra> RegionShard<'a, 'r, A> {
         child_region: u64,
         batch: Vec<(u64, ProjectedCell<'_, A::Cell>)>,
     ) {
-        let geom: &NodeGeom = &self.plan.geoms[&child];
+        let geom: &NodeGeom = &self.plan.geoms[child as usize];
         let load = self.load;
-        let store = self
-            .memory
-            .get_mut(&child)
-            .unwrap()
+        let store = self.memory[child as usize]
             .entry(child_region)
             .or_insert_with(|| RegionStore::with_load(geom, load));
         merge_batch(self.algebra, store, batch);

@@ -210,7 +210,6 @@ pub fn run_engine_baseline(
     spec: &CubeSpec<'_>,
     lattice: &Lattice,
     translation: &Translation,
-    alive: Option<&HashMap<u32, Vec<bool>>>,
 ) -> CubeResult {
     let mmst = lattice.mmst();
     let mdas = spec.mdas();
@@ -229,7 +228,7 @@ pub fn run_engine_baseline(
             .children_of(mask)
             .iter()
             .map(|&child| {
-                let dropped = mmst.parent[&child].1;
+                let dropped = mmst.parent[child as usize].expect("child has a parent").1;
                 let pos = parent_dims.iter().position(|&d| d == dropped).unwrap();
                 let cell_below: u64 =
                     parent_dims[pos + 1..].iter().map(|&i| lattice.domains[i] as u64).product();
@@ -249,16 +248,8 @@ pub fn run_engine_baseline(
         }
     }
 
-    let alive_map: HashMap<u32, Vec<bool>> = lattice
-        .nodes()
-        .iter()
-        .map(|&m| {
-            let flags =
-                alive.and_then(|a| a.get(&m).cloned()).unwrap_or_else(|| vec![true; n_mdas]);
-            assert_eq!(flags.len(), n_mdas);
-            (m, flags)
-        })
-        .collect();
+    let alive_map: HashMap<u32, Vec<bool>> =
+        lattice.nodes().iter().map(|&m| (m, vec![true; n_mdas])).collect();
     let mut keep: HashMap<u32, bool> = HashMap::new();
     for &mask in mmst.topological().iter().rev() {
         let self_alive = alive_map[&mask].iter().any(|&a| a);
@@ -315,5 +306,5 @@ pub fn mvd_cube_baseline(
     let exec = spade_parallel::Exec::new(options.threads);
     let (lattice, translation) = crate::mvdcube::prepare(spec, options, None, &exec)
         .expect("unlimited budget cannot cancel");
-    run_engine_baseline(spec, &lattice, &translation, None)
+    run_engine_baseline(spec, &lattice, &translation)
 }

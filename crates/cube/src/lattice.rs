@@ -25,8 +25,6 @@
 //! quantities: with `K` multi-valued dimensions, at most `2^{N−K}` lattice
 //! nodes can be computed correctly from parent results.
 
-use std::collections::HashMap;
-
 /// The lattice over `N` dimensions with their array geometry.
 #[derive(Clone, Debug)]
 pub struct Lattice {
@@ -92,26 +90,22 @@ impl Lattice {
     /// memory charge (ties broken toward the smallest dropped dimension).
     pub fn mmst(&self) -> Mmst {
         let root = self.root_mask();
-        let mut parent = HashMap::new();
-        let mut children: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut memory = HashMap::new();
-        memory.insert(root, self.root_memory());
-        for mask in self.nodes() {
-            if mask == root {
-                continue;
-            }
+        let n_nodes = root as usize + 1;
+        let mut parent = vec![None; n_nodes];
+        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
+        let mut memory = vec![0; n_nodes];
+        memory[root as usize] = self.root_memory();
+        // Ascending masks: each parent's child list comes out sorted.
+        for mask in 0..root {
             let (best_drop, best_mem) = (0..self.n_dims())
                 .filter(|&j| mask & (1 << j) == 0)
                 .map(|j| (j, self.memory_from(mask, j)))
                 .min_by_key(|&(j, m)| (m, j))
                 .expect("non-root node always has a parent");
             let parent_mask = mask | (1 << best_drop);
-            parent.insert(mask, (parent_mask, best_drop));
-            children.entry(parent_mask).or_default().push(mask);
-            memory.insert(mask, best_mem);
-        }
-        for kids in children.values_mut() {
-            kids.sort_unstable();
+            parent[mask as usize] = Some((parent_mask, best_drop));
+            children[parent_mask as usize].push(mask);
+            memory[mask as usize] = best_mem;
         }
         Mmst { root, parent, children, memory }
     }
@@ -131,28 +125,29 @@ impl Lattice {
     }
 }
 
-/// The Minimum Memory Spanning Tree over the lattice.
+/// The Minimum Memory Spanning Tree over the lattice. Every table has one
+/// entry per node, indexed by `mask as usize` (`2^N` entries).
 #[derive(Clone, Debug)]
 pub struct Mmst {
     /// Root mask (all dimensions).
     pub root: u32,
-    /// `child mask → (parent mask, dropped dimension)`.
-    pub parent: HashMap<u32, (u32, usize)>,
-    /// `parent mask → child masks` (sorted).
-    pub children: HashMap<u32, Vec<u32>>,
-    /// Per-node memory charge in cells.
-    pub memory: HashMap<u32, u128>,
+    /// Per node: `(parent mask, dropped dimension)`; `None` for the root.
+    pub parent: Vec<Option<(u32, usize)>>,
+    /// Per node: its child masks, ascending (empty for leaves).
+    pub children: Vec<Vec<u32>>,
+    /// Per node: its memory charge in cells.
+    pub memory: Vec<u128>,
 }
 
 impl Mmst {
     /// Children of a node in the tree.
     pub fn children_of(&self, mask: u32) -> &[u32] {
-        self.children.get(&mask).map(Vec::as_slice).unwrap_or(&[])
+        &self.children[mask as usize]
     }
 
     /// Total memory (cells) across all nodes — what ArrayCube minimizes.
     pub fn total_memory(&self) -> u128 {
-        self.memory.values().sum()
+        self.memory.iter().sum()
     }
 
     /// Masks in top-down (parents before children) order.
@@ -206,14 +201,14 @@ mod tests {
         let mmst = l.mmst();
         // {gender} (mask 0b010) can be computed by dropping nationality
         // (mem = c₁ = 2) or area (mem = D₁ = 2): tie → smallest dim (0).
-        assert_eq!(mmst.parent[&0b010], (0b011, 0));
+        assert_eq!(mmst.parent[0b010], Some((0b011, 0)));
         // {area} (mask 0b100): dropping dim 0 gives c₂=2, dropping dim 1
         // gives c₂=2 (area still after dim 1): tie → dim 0.
-        assert_eq!(mmst.parent[&0b100], (0b101, 0));
+        assert_eq!(mmst.parent[0b100], Some((0b101, 0)));
         // Every non-root node has a parent with exactly one more dim.
         for mask in l.nodes() {
             if mask != l.root_mask() {
-                let (p, j) = mmst.parent[&mask];
+                let (p, j) = mmst.parent[mask as usize].unwrap();
                 assert_eq!(p, mask | (1 << j));
                 assert_eq!(p.count_ones(), mask.count_ones() + 1);
             }
@@ -236,7 +231,7 @@ mod tests {
                 .map(|j| l.memory_from(mask, j))
                 .min()
                 .unwrap();
-            assert_eq!(mmst.memory[&mask], best, "node {mask:b}");
+            assert_eq!(mmst.memory[mask as usize], best, "node {mask:b}");
         }
     }
 
@@ -261,9 +256,14 @@ mod tests {
         let mmst = l.mmst();
         let order = mmst.topological();
         assert_eq!(order.len(), 8);
-        let pos: HashMap<u32, usize> = order.iter().enumerate().map(|(i, &m)| (m, i)).collect();
-        for (&child, &(parent, _)) in &mmst.parent {
-            assert!(pos[&parent] < pos[&child]);
+        let mut pos = vec![0; order.len()];
+        for (i, &m) in order.iter().enumerate() {
+            pos[m as usize] = i;
+        }
+        for (child, parent) in mmst.parent.iter().enumerate() {
+            if let Some((parent, _)) = parent {
+                assert!(pos[*parent as usize] < pos[child]);
+            }
         }
     }
 

@@ -17,7 +17,6 @@ use crate::translate::Translation;
 use spade_bitmap::Bitmap;
 use spade_parallel::{Cancelled, Exec};
 use spade_storage::MeasureTotals;
-use std::collections::HashMap;
 
 /// Tuning knobs for an MVDCube run.
 #[derive(Clone, Copy, Debug)]
@@ -208,14 +207,16 @@ pub fn mvd_cube(spec: &CubeSpec<'_>, options: &MvdCubeOptions) -> CubeResult {
     prepare(spec, options, None, &exec)
         .and_then(|(lattice, translation)| {
             let algebra = MvdAlgebra::new(spec);
-            run_engine(spec, &lattice, &translation, &algebra, None, options, &exec)
+            let alive = vec![vec![true; algebra.mdas.len()]; lattice.root_mask() as usize + 1];
+            run_engine(spec, &lattice, &translation, &algebra, &alive, options, &exec)
         })
         .expect("unlimited budget cannot cancel")
 }
 
-/// Evaluates with a per-node MDA liveness map (early-stop output): dead
-/// MDAs are not computed, and MMST subtrees with no live descendant are not
-/// even propagated into.
+/// Evaluates with a per-node MDA liveness table, indexed by `mask as usize`
+/// (early-stop and cross-lattice sharing output): dead MDAs are not
+/// computed, and MMST subtrees with no live descendant are not even
+/// propagated into.
 ///
 /// The engine fans out over `exec.threads`, polls the budget between
 /// region flushes and merge/emit tasks, and unwinds with [`Cancelled`] in
@@ -227,26 +228,28 @@ pub fn mvd_cube_pruned(
     options: &MvdCubeOptions,
     lattice: &Lattice,
     translation: &Translation,
-    alive: &HashMap<u32, Vec<bool>>,
+    alive: &[Vec<bool>],
     exec: &Exec,
 ) -> Result<CubeResult, Cancelled> {
     let algebra = MvdAlgebra::new(spec);
-    run_engine(spec, lattice, translation, &algebra, Some(alive), options, exec)
+    run_engine(spec, lattice, translation, &algebra, alive, options, exec)
 }
 
-/// Runs early-stop pruning and then evaluates the surviving MDAs — the
-/// integration described in Section 5.3. Both the pruning loop and the
-/// evaluation fan out over `options.threads`.
+/// Runs early-stop pruning for the top `k` under `h` and then evaluates the
+/// surviving MDAs — the integration described in Section 5.3. Both the
+/// pruning loop and the evaluation fan out over `options.threads`.
 pub fn mvd_cube_with_earlystop(
     spec: &CubeSpec<'_>,
     options: &MvdCubeOptions,
     config: &crate::earlystop::EarlyStopConfig,
+    k: usize,
+    h: spade_stats::Interestingness,
 ) -> (CubeResult, crate::earlystop::EarlyStopOutcome) {
     let exec = Exec::new(options.threads);
     let run = || -> Result<_, Cancelled> {
         let (lattice, translation) = prepare(spec, options, Some(config.sample_size), &exec)?;
         let samples = translation.samples.as_ref().expect("sampling was enabled");
-        let outcome = crate::earlystop::prune(spec, &lattice, samples, config, &exec)?;
+        let outcome = crate::earlystop::prune(spec, &lattice, samples, config, k, h, &exec)?;
         let result =
             mvd_cube_pruned(spec, options, &lattice, &translation, &outcome.alive, &exec)?;
         Ok((result, outcome))

@@ -70,8 +70,13 @@ impl NodeResult {
         self.len += other.len;
     }
 
-    /// Sorts the groups by key: the one place their order is set.
+    /// Sorts the groups by key: the one place their order is set. Groups
+    /// already in strictly ascending key order (every single-region node)
+    /// are left as they are.
     fn sort_by_key(&mut self) {
+        if (1..self.len).all(|g| self.key(g - 1) < self.key(g)) {
+            return;
+        }
         let mut order: Vec<usize> = (0..self.len).collect();
         order.sort_unstable_by(|&a, &b| self.key(a).cmp(self.key(b)));
         self.keys = order.iter().flat_map(|&g| self.key(g)).copied().collect();

@@ -9,7 +9,6 @@ use spade_bench::{
     analyzed_lattices, compare_systems, evaluate_all_mvd, evaluate_all_mvd_es,
     experiment_config, regen_graph, topk_accuracy,
 };
-use spade_cube::EarlyStopConfig;
 use spade_datagen::RealisticConfig;
 
 const SCALE: usize = 150;
@@ -94,8 +93,8 @@ fn r7_early_stop_accuracy() {
         let config = experiment_config();
         let prepared = analyzed_lattices(&mut g, &config);
         let (full, _) = evaluate_all_mvd(&prepared, &config);
-        let es_cfg = EarlyStopConfig { k: 5, ..Default::default() };
-        let (es, pruned, total, _) = evaluate_all_mvd_es(&prepared, &config, &es_cfg);
+        let es_config = SpadeConfig { k: 5, ..config }.with_early_stop();
+        let (es, pruned, total, _) = evaluate_all_mvd_es(&prepared, &es_config);
         let acc = topk_accuracy(&full, &es, Interestingness::Variance, 5);
         assert!(acc >= 0.8, "{name}: accuracy {acc}");
         assert!(pruned <= total);
